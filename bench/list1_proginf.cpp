@@ -69,13 +69,12 @@ int main() {
 
   // List 1's vector columns, closed measured: the ES model's modeled
   // Average Vector Length / Vector Operation Ratio against the lane
-  // utilization the SIMD backend actually achieved on this host.
-  const KernelProfile simd_prof =
-      KernelProfile::measure(17, 13, 37, mhd::RhsBackend::simd);
+  // utilization the SIMD backend (the default, which `prof` ran)
+  // actually achieved on this host.
   MeasuredLaneProfile lanes;
-  lanes.width = simd_prof.simd_width;
-  lanes.avg_vector_length = simd_prof.simd_avg_vector_length;
-  lanes.vector_coverage = simd_prof.simd_vector_coverage;
+  lanes.width = prof.simd_width;
+  lanes.avg_vector_length = prof.simd_avg_vector_length;
+  lanes.vector_coverage = prof.simd_vector_coverage;
   std::printf("== Vector columns: modeled vs measured (simd backend, %s) ======\n\n",
               simd::compiled_isa());
   std::printf("%s\n",

@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include "baseline/latlon_solver.hpp"
+#include "common/simd.hpp"
 #include "core/serial_solver.hpp"
 #include "grid/fd_ops.hpp"
 #include "mhd/rhs.hpp"
@@ -94,52 +95,49 @@ void BM_MhdRhs(benchmark::State& state) {
 }
 BENCHMARK(BM_MhdRhs)->Arg(16)->Arg(24);
 
-void BM_MhdRhsFused(benchmark::State& state) {
+/// The production pencil sweep at `width` lanes (0 = the build's
+/// active width; 1 = the scalar sweep of -DYY_SIMD=OFF builds).
+void mhd_rhs_simd(benchmark::State& state, int width) {
   SphericalGrid g = bench_grid(static_cast<int>(state.range(0)));
   mhd::Fields s(g), rhs(g);
   mhd::PencilWorkspace pw;
   mhd::EquationParams eq;
   eq.omega = {0, 0, 8.0};
+  const int w = width > 0 ? width : simd::active_width();
   for (auto _ : state) {
-    mhd::compute_rhs_fused(g, eq, s, rhs, pw, g.interior());
+    mhd::compute_rhs_simd_width(w, g, eq, s, rhs, pw, g.interior());
     benchmark::DoNotOptimize(rhs.rho.data());
   }
   state.SetItemsProcessed(state.iterations() * g.interior().volume());
 }
-BENCHMARK(BM_MhdRhsFused)->Arg(16)->Arg(24);
+void BM_MhdRhsSimd(benchmark::State& state) { mhd_rhs_simd(state, 0); }
+void BM_MhdRhsSimdW1(benchmark::State& state) { mhd_rhs_simd(state, 1); }
+BENCHMARK(BM_MhdRhsSimd)->Arg(16)->Arg(24);
+BENCHMARK(BM_MhdRhsSimdW1)->Arg(16)->Arg(24);
 
-void BM_YinYangStep(benchmark::State& state) {
+/// One serial Yin-Yang step on the default (simd) backend at `width`
+/// lanes (0 = the build's active width), the backend BM_LatLonStep's
+/// solver steps with, so the two per-point costs compare.
+void yinyang_step(benchmark::State& state, int width) {
   core::SimulationConfig cfg;
   cfg.nr = 13;
   cfg.nt_core = static_cast<int>(state.range(0));
   cfg.np_core = 3 * static_cast<int>(state.range(0)) - 2;
   cfg.eq.g0 = 2.0;
   cfg.eq.omega = {0, 0, 8.0};
+  simd::force_active_width(width);
   core::SerialYinYangSolver solver(cfg);
   solver.initialize();
   const double dt = solver.stable_dt();
   for (auto _ : state) solver.step(dt);
+  simd::force_active_width(0);
   state.SetItemsProcessed(state.iterations() * 2 *
                           solver.grid().interior().volume());
 }
+void BM_YinYangStep(benchmark::State& state) { yinyang_step(state, 0); }
+void BM_YinYangStepW1(benchmark::State& state) { yinyang_step(state, 1); }
 BENCHMARK(BM_YinYangStep)->Arg(13)->Arg(17);
-
-void BM_YinYangStepFused(benchmark::State& state) {
-  core::SimulationConfig cfg;
-  cfg.nr = 13;
-  cfg.nt_core = static_cast<int>(state.range(0));
-  cfg.np_core = 3 * static_cast<int>(state.range(0)) - 2;
-  cfg.eq.g0 = 2.0;
-  cfg.eq.omega = {0, 0, 8.0};
-  cfg.fused_rhs = true;
-  core::SerialYinYangSolver solver(cfg);
-  solver.initialize();
-  const double dt = solver.stable_dt();
-  for (auto _ : state) solver.step(dt);
-  state.SetItemsProcessed(state.iterations() * 2 *
-                          solver.grid().interior().volume());
-}
-BENCHMARK(BM_YinYangStepFused)->Arg(13)->Arg(17);
+BENCHMARK(BM_YinYangStepW1)->Arg(13)->Arg(17);
 
 void BM_LatLonStep(benchmark::State& state) {
   baseline::LatLonConfig cfg;

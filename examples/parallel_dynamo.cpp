@@ -10,7 +10,7 @@
 /// Simulator performance model's predicted phase split.
 ///
 /// Usage: parallel_dynamo [pt pp steps [mode]] [--heartbeat N] [--overlap]
-///                        [--fused-rhs] [--simd-rhs] [--counters]
+///                        [--counters]
 ///                        [--chaos rank-death:<step>|bitflip:<step>[:<cadence>]]
 ///        (default 2 x 2, 10 steps)
 ///
@@ -35,19 +35,11 @@
 /// cross-check below still matches exactly.  Set YY_THREADS to also
 /// thread the interior sweep and stage updates.
 ///
-/// --fused-rhs evaluates each stage's RHS with the fused cache-blocked
-/// pencil sweep (DESIGN.md §11) instead of the operator-at-a-time
-/// reference chain.  Bitwise-identical trajectories
-/// (tests/mhd/test_rhs_fused.cpp), so the serial cross-check still
-/// matches exactly; composes with --overlap.
-///
-/// --simd-rhs evaluates the RHS with the lane-widened fused sweep
-/// (DESIGN.md §14): the same pencil sweep with its radial inner loops
-/// running in SIMD packs at the build's native width (override with
-/// YY_SIMD=scalar|1|2|4|8; the manifest records width and ISA).
-/// Bitwise-identical trajectories (tests/mhd/test_rhs_simd.cpp), so
-/// the serial cross-check still matches exactly; composes with
-/// --overlap and takes precedence over --fused-rhs.
+/// The RHS runs on the configuration's backend — the production
+/// pencil sweep (DESIGN.md §11), its radial inner loops in SIMD packs
+/// at the build's native width (YY_SIMD=scalar|1|2|4|8 overrides it).
+/// The banner names the backend and the manifest records it with the
+/// lane width and ISA.
 ///
 /// --counters samples per-phase performance counters on every rank
 /// (obs/hwcounters.hpp): each rank thread opens its own CounterGroup —
@@ -111,8 +103,6 @@ using yinyang::Panel;
 int main(int argc, char** argv) {
   int heartbeat = 0;
   bool overlap = false;
-  bool fused_rhs = false;
-  bool simd_rhs = false;
   bool counters = false;
   long long chaos_death_step = -1;
   long long chaos_flip_step = -1;
@@ -123,10 +113,6 @@ int main(int argc, char** argv) {
       heartbeat = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--overlap") == 0) {
       overlap = true;
-    } else if (std::strcmp(argv[i], "--fused-rhs") == 0) {
-      fused_rhs = true;
-    } else if (std::strcmp(argv[i], "--simd-rhs") == 0) {
-      simd_rhs = true;
     } else if (std::strcmp(argv[i], "--counters") == 0) {
       counters = true;
     } else if (std::strcmp(argv[i], "--chaos") == 0 && i + 1 < argc) {
@@ -187,13 +173,18 @@ int main(int argc, char** argv) {
   cfg.ic.perturb_amp = 1e-2;
   cfg.ic.seed_b_amp = 1e-4;
   cfg.overlap = overlap;
-  cfg.fused_rhs = fused_rhs;
-  cfg.simd_rhs = simd_rhs;
+
+  // What the RHS runs on: the config's backend (the pencil sweep), its
+  // lane width and ISA.
+  const int simd_width = simd::active_width();
 
   const int world = 2 * pt * pp;
-  std::printf("== Distributed yycore: %d ranks = 2 panels x (%d x %d)%s%s ====\n\n",
-              world, pt, pp, overlap ? "  [overlapped]" : "",
-              simd_rhs ? "  [simd rhs]" : (fused_rhs ? "  [fused rhs]" : ""));
+  std::printf(
+      "== Distributed yycore: %d ranks = 2 panels x (%d x %d)%s  [rhs: %s, "
+      "%d lane%s, %s] ====\n\n",
+      world, pt, pp, overlap ? "  [overlapped]" : "",
+      mhd::backend_name(cfg.rhs_backend), simd_width,
+      simd_width == 1 ? "" : "s", simd::compiled_isa());
 
   mhd::EnergyBudget dist_energy;
   double dist_dt = 0.0;
@@ -227,11 +218,9 @@ int main(int argc, char** argv) {
   man.counter_backend = obs::counter_backend_name(ctr_backend);
   man.extra.emplace_back("steps", std::to_string(steps));
   man.extra.emplace_back("overlap", overlap ? "1" : "0");
-  man.extra.emplace_back("rhs_backend", mhd::backend_name(cfg.rhs_backend()));
-  if (simd_rhs) {
-    man.extra.emplace_back("simd_width", std::to_string(simd::active_width()));
-    man.extra.emplace_back("simd_isa", simd::compiled_isa());
-  }
+  man.extra.emplace_back("rhs_backend", mhd::backend_name(cfg.rhs_backend));
+  man.extra.emplace_back("simd_width", std::to_string(simd_width));
+  man.extra.emplace_back("simd_isa", simd::compiled_isa());
   if (chaos_death_step > 0)
     man.extra.emplace_back("chaos",
                            "rank-death:" + std::to_string(chaos_death_step));

@@ -45,7 +45,7 @@ LatLonSolver::LatLonSolver(const LatLonConfig& cfg)
       bc_(cfg.thermal),
       state_(grid_),
       ws_(grid_),
-      rk4_({&grid_}),
+      rk4_({&grid_}, mhd::RhsBackend::simd),
       weights_(interior_weights(grid_)) {}
 
 void LatLonSolver::initialize() {

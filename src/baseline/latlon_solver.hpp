@@ -74,7 +74,7 @@ class LatLonSolver {
   mhd::RadialBoundary bc_;
   mhd::Fields state_;
   mhd::Workspace ws_;
-  mhd::Rk4 rk4_;
+  mhd::Rk4 rk4_;  ///< simd backend, as SimulationConfig's default
   mhd::ColumnWeights weights_;
   double time_ = 0.0;
   double cached_dt_ = 0.0;

@@ -23,7 +23,7 @@
 /// Workspace per thread (mhd::compute_rhs_parallel), but each pool
 /// entry is sized to its φ-slab, not the full patch, so total scratch
 /// stays within ~2× one patch-sized Workspace regardless of thread
-/// count (tests/mhd/test_workspace_footprint.cpp pins this; the fused
+/// count (tests/mhd/test_workspace_footprint.cpp pins this; the simd
 /// backend's per-thread pencil rings are smaller still).  The remaining
 /// cost is thread churn: the default backend spawns/joins fresh
 /// std::threads per sweep (several per RK4 step), which can eat the

@@ -1,6 +1,6 @@
 /// \file pencil.hpp
 /// Compact scratch containers addressed in patch indices: the memory
-/// layer of the fused RHS path and the shrunken per-thread workspaces.
+/// layer of the pencil RHS sweep and the shrunken per-thread workspaces.
 ///
 /// Two shapes cover every scratch need of the RHS sweep:
 ///  * ScratchField — a box-shaped block with its origin at the box
@@ -11,7 +11,7 @@
 ///    Nr×Nt×Np arrays per thread (the documented ~19×YY_THREADS
 ///    multiplier).
 ///  * PlaneRing — a rolling ring of (r, θ) planes over φ, depth = the
-///    stencil footprint in φ (3 or 5).  The fused sweep computes plane
+///    stencil footprint in φ (3 or 5).  The pencil sweep computes plane
 ///    ip+k once, keeps it resident while the φ stencil needs it, and
 ///    overwrites it (ip mod depth) when the sweep moves on: the whole
 ///    derived-field working set shrinks from O(Nr·Nt·Np) to
@@ -116,41 +116,46 @@ class PlaneRing {
     data_.assign(static_cast<std::size_t>(depth_) * nr_ * nt_, 0.0);
   }
 
-  double& at(int ir, int it, int ip) { return data_[index(ir, it, ip)]; }
-  double at(int ir, int it, int ip) const { return data_[index(ir, it, ip)]; }
+  /// The ring as seen from φ plane ip: planes ip−1, ip, ip+1 — the
+  /// reach of every first-derivative stencil — with each plane's base
+  /// resolved once, so a load is an offset into a known plane rather
+  /// than an `ip mod depth` per access.  operator() has the Field3 call
+  /// signature, for the shared per-point stencils of
+  /// grid/fd_stencils.hpp; at() is the address of the same node.  The
+  /// radial index is unit-stride within a plane, so W consecutive
+  /// doubles from at(ir, …) are the values at ir … ir+W−1 — the
+  /// load/store hook of the SIMD sweep (mhd/rhs_simd.cpp), whose caller
+  /// must keep ir+W−1 inside the covered radial extent.  Valid until
+  /// the ring next grows.
+  struct Window {
+    double* plane[3] = {};  ///< planes ip−1, ip, ip+1
+    int ip = 0;
+    int r0 = 0, nr = 0, t0 = 0, nt = 0;
 
-  /// Address of (ir, it, ip) inside the resident plane.  The radial
-  /// index is unit-stride within a plane, so W consecutive doubles from
-  /// lane_at(ir, …) are the values at ir … ir+W−1 — the load/store hook
-  /// of the SIMD sweep (mhd/rhs_simd.cpp).  The caller must keep
-  /// ir+W−1 inside the covered radial extent.
-  double* lane_at(int ir, int it, int ip) { return &data_[index(ir, it, ip)]; }
-  const double* lane_at(int ir, int it, int ip) const {
-    return &data_[index(ir, it, ip)];
-  }
-
-  /// Accessor with the Field3 call signature, for the shared per-point
-  /// stencils of grid/fd_stencils.hpp.
-  struct View {
-    const PlaneRing* ring = nullptr;
-    double operator()(int ir, int it, int ip) const {
-      return ring->at(ir, it, ip);
+    double* at(int ir, int it, int q) const {
+      YY_ASSERT_DBG(q >= ip - 1 && q <= ip + 1);
+      YY_ASSERT_DBG(ir >= r0 && ir < r0 + nr);
+      YY_ASSERT_DBG(it >= t0 && it < t0 + nt);
+      return plane[q - ip + 1] + (ir - r0) +
+             static_cast<std::ptrdiff_t>(nr) * (it - t0);
     }
+    double operator()(int ir, int it, int q) const { return *at(ir, it, q); }
   };
-  View view() const { return {this}; }
+
+  /// Window centred on plane ip (ip ≥ 0; a neighbour below plane 0
+  /// maps to an unrelated slot and must not be read).
+  Window window(int ip) {
+    YY_ASSERT_DBG(ip >= 0 && depth_ >= 3);
+    return {{slot(ip - 1), slot(ip), slot(ip + 1)}, ip, r0_, nr_, t0_, nt_};
+  }
 
   int depth() const { return depth_; }
   std::size_t allocated_doubles() const { return data_.size(); }
 
  private:
-  std::size_t index(int ir, int it, int ip) const {
-    YY_ASSERT_DBG(ip >= 0 && depth_ > 0);
-    YY_ASSERT_DBG(ir >= r0_ && ir < r0_ + nr_);
-    YY_ASSERT_DBG(it >= t0_ && it < t0_ + nt_);
-    const std::size_t plane = static_cast<std::size_t>(ip % depth_);
-    return plane * (static_cast<std::size_t>(nr_) * nt_) +
-           static_cast<std::size_t>(ir - r0_) +
-           static_cast<std::size_t>(nr_) * static_cast<std::size_t>(it - t0_);
+  double* slot(int ip) {
+    const int k = ((ip % depth_) + depth_) % depth_;
+    return data_.data() + static_cast<std::size_t>(k) * nr_ * nt_;
   }
 
   int depth_ = 0;

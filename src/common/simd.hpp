@@ -6,9 +6,9 @@
 /// strictly elementwise IEEE-754 double arithmetic: lane i of a ⊙ b is
 /// bitwise-identical to the scalar expression a[i] ⊙ b[i].  Combined
 /// with the global `-ffp-contract=off` (top-level CMakeLists) this is
-/// what makes the SIMD sweep in mhd/rhs_simd.cpp bitwise-equal to the
-/// scalar fused sweep: same expression tree, no reassociation, no FMA
-/// contraction — only the loop is wider.
+/// what makes the SIMD sweep in mhd/rhs_simd.cpp bitwise-equal at every
+/// width to its scalar (W = 1) instantiation: same expression tree, no
+/// reassociation, no FMA contraction — only the loop is wider.
 ///
 /// Width policy (all implemented in simd.cpp, the one TU compiled with
 /// the native ISA flags so the __AVX512F__/__AVX2__/__SSE2__ macros are

@@ -35,22 +35,12 @@ struct SimulationConfig {
   /// the rk4 scheme; euler/rk2 fall back to synchronous fills.
   bool overlap = false;
 
-  /// RHS backend: false = reference operator-at-a-time chain, true =
-  /// fused cache-blocked pencil sweep (bitwise-identical trajectories;
-  /// see DESIGN.md §11).  Composes with `overlap`.
-  bool fused_rhs = false;
-
-  /// SIMD RHS backend: the fused sweep with radial lane packs
-  /// (bitwise-identical trajectories; see DESIGN.md §14).  Takes
-  /// precedence over `fused_rhs`; composes with `overlap`.  Lane width
-  /// comes from the build's ISA, overridable with YY_SIMD=scalar|1|2|4|8.
-  bool simd_rhs = false;
-
-  /// The backend the two flags above select (simd > fused > reference).
-  mhd::RhsBackend rhs_backend() const {
-    if (simd_rhs) return mhd::RhsBackend::simd;
-    return fused_rhs ? mhd::RhsBackend::fused : mhd::RhsBackend::reference;
-  }
+  /// RHS backend: the production pencil/lane sweep (simd; lane width
+  /// from the build's ISA, YY_SIMD=scalar|1|2|4|8 overrides it) or the
+  /// operator-at-a-time reference chain, kept as the test oracle.  The
+  /// two give bitwise-identical trajectories (DESIGN.md §11) and compose
+  /// with `overlap`.
+  mhd::RhsBackend rhs_backend = mhd::RhsBackend::simd;
 };
 
 }  // namespace yy::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "comm/cart.hpp"
 #include "core/ownership.hpp"
@@ -74,7 +75,7 @@ DistributedSolver::DistributedSolver(const SimulationConfig& cfg,
   ws_ = std::make_unique<mhd::Workspace>(*grid_);
   integrator_ = std::make_unique<mhd::Integrator>(
       cfg.scheme, std::vector<const SphericalGrid*>{grid_.get()},
-      cfg.rhs_backend());
+      cfg.rhs_backend);
   weights_ = std::make_unique<mhd::ColumnWeights>(
       ownership_weights(geom_, *grid_, extent_.t0, extent_.p0));
 }
@@ -201,7 +202,14 @@ double DistributedSolver::stable_dt() {
   const double local = mhd::stable_timestep(*grid_, eq_, *state_, *ws_,
                                             grid_->interior());
   YY_TRACE_SCOPE(obs::Phase::reduce);
-  last_stable_dt_ = cfg_.cfl_safety * runner_->world().allreduce_min(local);
+  // allreduce_min keeps a NaN only as its left operand, so a rank with a
+  // non-finite state sends −∞ (below any real dt) and every rank maps
+  // it back to NaN: one collective, and all ranks agree.
+  constexpr double kNanDt = -std::numeric_limits<double>::infinity();
+  const double dt =
+      runner_->world().allreduce_min(std::isnan(local) ? kNanDt : local);
+  last_stable_dt_ = dt == kNanDt ? std::numeric_limits<double>::quiet_NaN()
+                                 : cfg_.cfl_safety * dt;
   return last_stable_dt_;
 }
 
@@ -331,7 +339,7 @@ void DistributedSolver::rebuild(const comm::Communicator& new_world,
   ws_ = std::make_unique<mhd::Workspace>(*grid_);
   integrator_ = std::make_unique<mhd::Integrator>(
       cfg_.scheme, std::vector<const SphericalGrid*>{grid_.get()},
-      cfg_.rhs_backend());
+      cfg_.rhs_backend);
   weights_ = std::make_unique<mhd::ColumnWeights>(
       ownership_weights(geom_, *grid_, extent_.t0, extent_.p0));
   eq_ = panel == Panel::yin ? cfg_.eq : cfg_.eq.for_partner_panel();

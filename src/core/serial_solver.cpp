@@ -1,6 +1,7 @@
 #include "core/serial_solver.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "core/ownership.hpp"
 #include "mhd/derived.hpp"
@@ -24,7 +25,7 @@ SerialYinYangSolver::SerialYinYangSolver(const SimulationConfig& cfg)
       yin_(grid_),
       yang_(grid_),
       ws_(grid_),
-      integrator_(cfg.scheme, {&grid_, &grid_}, cfg.rhs_backend()),
+      integrator_(cfg.scheme, {&grid_, &grid_}, cfg.rhs_backend),
       weights_(ownership_weights(geom_, grid_, 0, 0)) {}
 
 void SerialYinYangSolver::initialize() {
@@ -84,6 +85,9 @@ double SerialYinYangSolver::stable_dt() {
       mhd::stable_timestep(grid_, eq_yin_, yin_, ws_, grid_.interior());
   const double b =
       mhd::stable_timestep(grid_, eq_yang_, yang_, ws_, grid_.interior());
+  // std::min(a, b) keeps a NaN only as its left operand.
+  if (std::isnan(a) || std::isnan(b))
+    return std::numeric_limits<double>::quiet_NaN();
   return cfg_.cfl_safety * std::min(a, b);
 }
 

@@ -30,6 +30,10 @@ RunSummary Simulation::run(const RunControl& ctl,
       break;
     }
     double dt = solver_->stable_dt();
+    if (!std::isfinite(dt)) {  // a NaN state: stepping would make time NaN
+      sum.diverged = true;
+      break;
+    }
     if (dt_prev > 0.0) dt = std::min(dt, dt_prev * ctl.max_dt_growth);
     dt = std::min(dt, ctl.t_end - solver_->time());  // land exactly on t_end
     solver_->step(dt);

@@ -14,7 +14,7 @@
 /// indices the operator touches, which lets rebased scratch blocks
 /// (common/pencil.hpp ScratchField) flow through unchanged.  The
 /// per-point arithmetic lives in grid/fd_stencils.hpp, shared with the
-/// fused RHS sweep.
+/// pencil RHS sweep (mhd/rhs_simd.cpp).
 ///
 /// Component convention throughout: (r, θ, φ) physical components on
 /// the local panel's spherical coordinates.

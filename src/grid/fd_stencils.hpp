@@ -6,18 +6,18 @@
 /// fd_stencils_simd.hpp whose inv_r() returns a pack).
 ///
 /// These are the *single source of truth* for the stencil arithmetic:
-/// the whole-array operators in fd_ops.cpp, the fused RHS sweep in
-/// mhd/rhs_fused.cpp, and the SIMD sweep in mhd/rhs_simd.cpp all call
+/// the whole-array operators in fd_ops.cpp and the pencil sweep in
+/// mhd/rhs_simd.cpp (scalar at width 1, lane packs above) both call
 /// them, with the metric-free difference coefficients (c_r = 1/(2Δr)
 /// etc.) computed by the caller from the same expressions.  The build
 /// carries -ffp-contract=off globally (top-level CMakeLists), so one
 /// expression tree instantiated for several accessor types — scalar or
 /// elementwise lane packs — yields bitwise-identical IEEE doubles: the
-/// property the fused-vs-reference and simd-vs-fused equivalence tests
-/// pin exactly.  The value type is deduced (double for scalar
-/// accessors, simd::Pack<W> for lane accessors); every expression
-/// below is either value⊙value or scalar-broadcast⊙value, both of
-/// which are elementwise and preserve the per-lane tree.
+/// property the simd-vs-reference equivalence tests pin exactly.  The
+/// value type is deduced (double for scalar accessors, simd::Pack<W>
+/// for lane accessors); every expression below is either value⊙value
+/// or scalar-broadcast⊙value, both of which are elementwise and
+/// preserve the per-lane tree.
 ///
 /// None of these helpers charge flops; the sweep that calls them
 /// charges the documented per-operator cost over its box.

@@ -49,13 +49,14 @@ struct FieldLanes {
   }
 };
 
-/// W-lane accessor over a PlaneRing (the fused sweep's rolling pencil
-/// scratch); radial index is unit-stride within each resident plane.
+/// W-lane accessor over a PlaneRing window (the pencil sweep's rolling
+/// scratch, resolved at one φ plane); radial index is unit-stride within
+/// each resident plane.
 template <int W>
 struct RingLanes {
-  const common::PlaneRing* ring = nullptr;
+  const common::PlaneRing::Window* w = nullptr;
   simd::Pack<W> operator()(int ir, int it, int ip) const {
-    return simd::Pack<W>::load(ring->lane_at(ir, it, ip));
+    return simd::Pack<W>::load(w->at(ir, it, ip));
   }
 };
 

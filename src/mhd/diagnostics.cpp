@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "mhd/derived.hpp"
 
@@ -39,6 +40,7 @@ double stable_timestep(const SphericalGrid& g, const EquationParams& eq,
                        const Fields& s, Workspace& ws, const IndexBox& box) {
   magnetic_field(g, s, ws.br, ws.bt, ws.bp, box);
   double max_rate = 0.0;
+  bool finite = true;
   for_box(box, [&](int ir, int it, int ip) {
     const double rho = s.rho(ir, it, ip);
     const double inv_rho = 1.0 / rho;
@@ -63,8 +65,12 @@ double stable_timestep(const SphericalGrid& g, const EquationParams& eq,
         std::max({eq.mu * inv_rho, eq.gamma * eq.kappa * inv_rho, eq.eta});
     const double diff =
         2.0 * diff_coef * (ihr * ihr + iht * iht + ihp * ihp);
-    max_rate = std::max(max_rate, adv + diff);
+    const double rate = adv + diff;
+    // std::max drops a NaN rate, so non-finite points are flagged apart.
+    finite = finite && std::isfinite(rate);
+    max_rate = std::max(max_rate, rate);
   });
+  if (!finite) return std::numeric_limits<double>::quiet_NaN();
   return max_rate > 0.0 ? 1.0 / max_rate : 1e30;
 }
 

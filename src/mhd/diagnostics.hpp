@@ -64,6 +64,7 @@ EnergyBudget integrate_energies(const SphericalGrid& g,
 
 /// Largest stable timestep (advective fast-mode CFL combined with the
 /// explicit diffusion limit), over `box`.  Multiply by a safety factor.
+/// NaN if any point's rate is not finite (a NaN or blown-up state).
 double stable_timestep(const SphericalGrid& g, const EquationParams& eq,
                        const Fields& s, Workspace& ws, const IndexBox& box);
 

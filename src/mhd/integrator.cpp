@@ -19,7 +19,7 @@ Integrator::Integrator(TimeScheme scheme,
     if (scheme == TimeScheme::rk2) stage_.emplace_back(*g);
     if (backend_ == RhsBackend::reference) ws_.emplace_back(*g);
   }
-  if (backend_ != RhsBackend::reference) pw_.resize(grids_.size());
+  if (backend_ == RhsBackend::simd) pw_.resize(grids_.size());
 }
 
 void Integrator::eval_rhs(std::size_t i, const EquationParams& eq,
@@ -27,9 +27,6 @@ void Integrator::eval_rhs(std::size_t i, const EquationParams& eq,
   if (backend_ == RhsBackend::simd) {
     compute_rhs_simd(*grids_[i], eq, src, k_[i], pw_[i],
                      grids_[i]->interior());
-  } else if (backend_ == RhsBackend::fused) {
-    compute_rhs_fused(*grids_[i], eq, src, k_[i], pw_[i],
-                      grids_[i]->interior());
   } else {
     compute_rhs(*grids_[i], eq, src, k_[i], ws_[i], grids_[i]->interior());
   }

@@ -48,7 +48,7 @@ class Integrator {
   using FillFn = Rk4::FillFn;
 
   Integrator(TimeScheme scheme, const std::vector<const SphericalGrid*>& grids,
-             RhsBackend backend = RhsBackend::reference);
+             RhsBackend backend);
 
   TimeScheme scheme() const { return scheme_; }
   RhsBackend backend() const { return backend_; }
@@ -74,7 +74,7 @@ class Integrator {
   std::vector<const SphericalGrid*> grids_;
   std::vector<Fields> k_, stage_;
   std::vector<Workspace> ws_;        // reference backend
-  std::vector<PencilWorkspace> pw_;  // fused backend
+  std::vector<PencilWorkspace> pw_;  // simd backend
   std::unique_ptr<Rk4> rk4_;  // reused for the rk4 scheme
 };
 

@@ -13,14 +13,15 @@
 /// of the scalar/vector primitives in grid/fd_ops.hpp.
 ///
 /// Two backends evaluate the same arithmetic (DESIGN.md §11):
+///  * compute_rhs_simd — the production kernel: one cache-blocked sweep
+///    over φ with rolling pencil rings of derived-field planes and
+///    radial-innermost loops widened to W-lane packs (W = 1 is the
+///    scalar sweep); the working set is O(depth·Nr·Nt).
 ///  * compute_rhs — the reference operator-at-a-time chain: one fd::*
 ///    pass per operator with box-sized scratch.  Simple, auditable, the
 ///    oracle the equivalence tests compare against.
-///  * compute_rhs_fused — one cache-blocked sweep over φ with rolling
-///    pencil rings of derived-field planes and radial-innermost loops;
-///    same per-point expression trees (grid/fd_stencils.hpp), so the
-///    result is bitwise identical on this build (no FMA contraction),
-///    while the working set shrinks to O(depth·Nr·Nt).
+/// Both run the same per-point expression trees (grid/fd_stencils.hpp),
+/// so the results are bitwise identical (no FMA contraction).
 ///
 /// The RHS is valid on any IndexBox whose grown(2) data is filled
 /// (2 ghost layers: one consumed by the derived fields B and ∇·v, one
@@ -39,17 +40,14 @@
 namespace yy::mhd {
 
 /// RHS evaluation strategy (see file comment); plumbed from
-/// core::SimulationConfig::fused_rhs through the integrators.
+/// core::SimulationConfig::rhs_backend through the integrators.
 enum class RhsBackend {
-  reference,  ///< operator-at-a-time fd::* chain (the oracle)
-  fused,      ///< cache-blocked pencil sweep (bitwise-equal, faster)
-  simd,       ///< fused sweep with radial lane packs (bitwise-equal, fastest)
+  reference,  ///< operator-at-a-time fd::* chain (the test oracle)
+  simd,       ///< pencil sweep with radial lane packs (production)
 };
 
 constexpr const char* backend_name(RhsBackend b) {
-  return b == RhsBackend::simd
-             ? "simd"
-             : (b == RhsBackend::fused ? "fused" : "reference");
+  return b == RhsBackend::simd ? "simd" : "reference";
 }
 
 /// Preallocated temporaries for one reference-path RHS evaluation
@@ -95,7 +93,7 @@ void compute_rhs(const SphericalGrid& g, const EquationParams& eq,
                  const Fields& state, Fields& rhs, Workspace& ws,
                  const IndexBox& box);
 
-/// Pencil scratch of the fused backend: rolling φ-plane rings sized by
+/// Pencil scratch of the simd backend: rolling φ-plane rings sized by
 /// the stencil footprint — v and T planes are consumed by second-order
 /// composites two φ layers away (depth 5, (r,θ) extent box.grown(2)),
 /// the differentiated derived fields one layer (depth 3, box.grown(1)).
@@ -116,14 +114,6 @@ struct PencilWorkspace {
 /// Pencil planes resident in a PencilWorkspace (4 rings of depth 5 +
 /// 7 of depth 3); the footprint test's accounting constant.
 inline constexpr int kPencilPlanes = 4 * 5 + 7 * 3;
-
-/// The fused backend: same contract and bitwise-identical result as
-/// compute_rhs (see file comment), evaluated in one rolling-pencil
-/// sweep over φ with radial-innermost loops; charges exactly the same
-/// flop count.
-void compute_rhs_fused(const SphericalGrid& g, const EquationParams& eq,
-                       const Fields& state, Fields& rhs, PencilWorkspace& pw,
-                       const IndexBox& box);
 
 /// Interior/boundary-shell decomposition of an RHS sweep for the
 /// overlapped stepping mode.  `interior` is `box` shrunk by the rim
@@ -163,26 +153,17 @@ void compute_rhs_parallel(const SphericalGrid& g, const EquationParams& eq,
                           std::vector<Workspace>& ws_pool, const IndexBox& box,
                           int nthreads);
 
-/// The fused analogue of compute_rhs_parallel: identical φ-slab
-/// partition (phi_slab), one PencilWorkspace per slab, bitwise
-/// identical to compute_rhs_fused — and therefore to compute_rhs — for
-/// any thread count.
-void compute_rhs_parallel_fused(const SphericalGrid& g,
-                                const EquationParams& eq, const Fields& state,
-                                Fields& rhs,
-                                std::vector<PencilWorkspace>& pw_pool,
-                                const IndexBox& box, int nthreads);
-
-/// The SIMD backend: the fused pencil sweep with its radial inner loops
-/// widened to `width`-lane packs (common/simd.hpp) plus a width-1 tail
-/// for the remainder points.  Per-point expression trees are the shared
-/// grid/fd_stencils.hpp templates instantiated over lane packs, whose
-/// arithmetic is strictly elementwise with FMA contraction pinned off —
-/// so the result is bitwise identical to compute_rhs_fused (and the
-/// reference chain) for every width.  Charges the same flop count and
-/// additionally records lane statistics (simd::lane_stats_add), the
-/// measured counterpart of the ES model's vector columns.
-/// `width` must be 1, 2, 4, or 8.
+/// The simd backend: same contract and bitwise-identical result as
+/// compute_rhs (see file comment), evaluated in one rolling-pencil
+/// sweep over φ whose radial inner loops run `width`-lane packs
+/// (common/simd.hpp) plus a width-1 tail for the remainder points.
+/// Per-point expression trees are the shared grid/fd_stencils.hpp
+/// templates, instantiated over lane packs (strictly elementwise, FMA
+/// contraction pinned off) or, at width 1, over the scalar accessors —
+/// so the result is bitwise identical to the reference chain for every
+/// width.  Charges the same flop count and additionally records lane
+/// statistics (simd::lane_stats_add), the measured counterpart of the
+/// ES model's vector columns.  `width` must be 1, 2, 4, or 8.
 void compute_rhs_simd_width(int width, const SphericalGrid& g,
                             const EquationParams& eq, const Fields& state,
                             Fields& rhs, PencilWorkspace& pw,
@@ -194,7 +175,7 @@ void compute_rhs_simd(const SphericalGrid& g, const EquationParams& eq,
                       const Fields& state, Fields& rhs, PencilWorkspace& pw,
                       const IndexBox& box);
 
-/// The SIMD analogue of compute_rhs_parallel_fused: identical φ-slab
+/// The simd analogue of compute_rhs_parallel: identical φ-slab
 /// partition (phi_slab), one PencilWorkspace per slab, bitwise
 /// identical to the monolithic sweep for any thread count and width.
 void compute_rhs_parallel_simd_width(int width, const SphericalGrid& g,

@@ -1,18 +1,33 @@
 /// \file rhs_simd.cpp
-/// The SIMD RHS backend: the fused rolling-pencil sweep of
-/// rhs_fused.cpp with its radial inner loops widened to W-lane packs
-/// (common/simd.hpp) plus a width-1 remainder tail.
+/// The production RHS kernel: one rolling-pencil sweep over φ evaluating
+/// all eight tendencies per point, with its radial inner loops widened
+/// to W-lane packs (common/simd.hpp) plus a width-1 remainder tail.
+/// Bitwise identical to the reference operator-at-a-time chain in
+/// rhs.cpp (see DESIGN.md §11).
 ///
-/// Bitwise contract (DESIGN.md §14): every per-point body below is the
-/// same grid/fd_stencils.hpp template the scalar fused sweep
-/// instantiates — the accessor types change (FieldLanes / RingLanes /
-/// LaneMetrics instead of Field3 / PlaneRing::View / SphericalGrid),
-/// the source expressions do not.  Pack arithmetic is strictly
-/// elementwise and the build pins -ffp-contract=off, so lane i of any
-/// pack equals the scalar evaluation at ir+i bit for bit; the tail
-/// points run the literal W=1 instantiation.  The equivalence suite
-/// (tests/mhd/test_rhs_simd.cpp) pins this for every width, split, and
-/// thread count.
+/// Sweep structure — for each output plane ip the stencils need
+///  * v and T two φ layers out (second-order composites differentiate
+///    first-derivative fields, which themselves read ±1): depth-5 rings
+///    over (r,θ) ∈ box.grown(2);
+///  * the once-differentiated fields B, ∇·v, ∇×v one layer out:
+///    depth-3 rings over box.grown(1);
+///  * j = ∇×B only at the output point itself — evaluated on the fly
+///    from the resident B ring, never stored.
+/// So the steady-state loop is: fill v/T plane ip+2, fill derived plane
+/// ip+1, combine plane ip — each plane computed exactly once, exactly as
+/// many point-evaluations as the reference path performs over the same
+/// boxes (the flop charge below is the same sum, term for term).
+///
+/// Bitwise contract: every per-point body below is a grid/fd_stencils.hpp
+/// template.  W > 1 instantiates it over lane adapters (FieldLanes /
+/// RingLanes / LaneMetrics); W = 1 — the remainder tails, -DYY_SIMD=OFF
+/// builds and YY_SIMD=scalar — over the plain scalar accessors (Field3 /
+/// PlaneRing::Window / SphericalGrid).  The source expressions never
+/// change.  Pack arithmetic is strictly elementwise and the build pins
+/// -ffp-contract=off, so lane i of any pack equals the scalar evaluation
+/// at ir+i bit for bit.  The equivalence suite (tests/mhd/
+/// test_rhs_simd.cpp) pins this against compute_rhs for every width,
+/// split, and thread count.
 ///
 /// This TU is compiled with the native ISA flags (see src/mhd/
 /// CMakeLists.txt) so the packs lower to real vector instructions; the
@@ -30,10 +45,28 @@
 #include "mhd/rhs.hpp"
 
 namespace yy::mhd {
+
+void PencilWorkspace::ensure(const IndexBox& box) {
+  const IndexBox e2 = box.grown(2);
+  const IndexBox e1 = box.grown(1);
+  for (common::PlaneRing* r : {&vr, &vt, &vp, &T})
+    r->ensure(5, e2.r0, e2.r1, e2.t0, e2.t1);
+  for (common::PlaneRing* r : {&br, &bt, &bp, &divv, &cvr, &cvt, &cvp})
+    r->ensure(3, e1.r0, e1.r1, e1.t0, e1.t1);
+}
+
+std::size_t PencilWorkspace::allocated_doubles() const {
+  std::size_t n = 0;
+  for (const common::PlaneRing* r :
+       {&vr, &vt, &vp, &T, &br, &bt, &bp, &divv, &cvr, &cvt, &cvp})
+    n += r->allocated_doubles();
+  return n;
+}
+
 namespace {
 
 /// Everything a sweep needs, bundled so the per-point templates take
-/// one argument; all values match what compute_rhs_fused computes.
+/// one argument.
 struct SweepCtx {
   const SphericalGrid& g;
   const EquationParams& eq;
@@ -45,65 +78,115 @@ struct SweepCtx {
   double c43, gm1, cstr;
 };
 
+/// Every ring of the workspace resolved at one φ plane
+/// (common::PlaneRing::Window): the sweep builds one per plane, so the
+/// per-point loads never reduce a plane index modulo the ring depth.
+struct Planes {
+  using Window = common::PlaneRing::Window;
+  Window vr, vt, vp, T, br, bt, bp, divv, cvr, cvt, cvp;
+
+  Planes(PencilWorkspace& pw, int ip)
+      : vr(pw.vr.window(ip)),
+        vt(pw.vt.window(ip)),
+        vp(pw.vp.window(ip)),
+        T(pw.T.window(ip)),
+        br(pw.br.window(ip)),
+        bt(pw.bt.window(ip)),
+        bp(pw.bp.window(ip)),
+        divv(pw.divv.window(ip)),
+        cvr(pw.cvr.window(ip)),
+        cvt(pw.cvt.window(ip)),
+        cvp(pw.cvp.window(ip)) {}
+};
+
+/// The stencil accessors of a W-lane point: lane adapters for W > 1.
+template <int W>
+struct Access {
+  static fd::LaneMetrics<W> metrics(const SphericalGrid& g) { return {&g}; }
+  static fd::FieldLanes<W> field(const Field3& f) { return {&f}; }
+  static fd::RingLanes<W> ring(const Planes::Window& w) { return {&w}; }
+};
+
+/// W = 1 reads through the scalar accessors themselves, so the scalar
+/// sweep is plain double arithmetic with no pack wrapper in between.
+template <>
+struct Access<1> {
+  static const SphericalGrid& metrics(const SphericalGrid& g) { return g; }
+  static const Field3& field(const Field3& f) { return f; }
+  static const Planes::Window& ring(const Planes::Window& w) { return w; }
+};
+
+inline void put(double v, double* p) { *p = v; }
+template <int W>
+inline void put(simd::Pack<W> v, double* p) {
+  v.store(p);
+}
+
 /// v = f/ρ, T = p/ρ at lanes ir…ir+W−1 of plane q (fill_vt body).
 template <int W>
-inline void vt_point(const SweepCtx& c, int ir, int it, int q) {
-  using P = simd::Pack<W>;
-  const fd::FieldLanes<W> rho{&c.state.rho}, fr{&c.state.fr},
-      ft{&c.state.ft}, fp{&c.state.fp}, p{&c.state.p};
-  const P inv_rho = 1.0 / rho(ir, it, q);
-  (fr(ir, it, q) * inv_rho).store(c.pw.vr.lane_at(ir, it, q));
-  (ft(ir, it, q) * inv_rho).store(c.pw.vt.lane_at(ir, it, q));
-  (fp(ir, it, q) * inv_rho).store(c.pw.vp.lane_at(ir, it, q));
-  (p(ir, it, q) * inv_rho).store(c.pw.T.lane_at(ir, it, q));
+inline void vt_point(const SweepCtx& c, const Planes& w, int ir, int it,
+                     int q) {
+  using A = Access<W>;
+  const auto inv_rho = 1.0 / A::field(c.state.rho)(ir, it, q);
+  put(A::field(c.state.fr)(ir, it, q) * inv_rho, w.vr.at(ir, it, q));
+  put(A::field(c.state.ft)(ir, it, q) * inv_rho, w.vt.at(ir, it, q));
+  put(A::field(c.state.fp)(ir, it, q) * inv_rho, w.vp.at(ir, it, q));
+  put(A::field(c.state.p)(ir, it, q) * inv_rho, w.T.at(ir, it, q));
 }
 
 /// B = ∇×A, ∇·v, ∇×v at lanes ir…ir+W−1 of plane q (fill_derived body).
 template <int W>
-inline void derived_point(const SweepCtx& c, int ir, int it, int q) {
-  const fd::LaneMetrics<W> g{&c.g};
-  const fd::FieldLanes<W> ar{&c.state.ar}, at{&c.state.at}, ap{&c.state.ap};
-  const fd::RingLanes<W> Vr{&c.pw.vr}, Vt{&c.pw.vt}, Vp{&c.pw.vp};
+inline void derived_point(const SweepCtx& c, const Planes& w, int ir,
+                          int it, int q) {
+  using A = Access<W>;
+  const auto& g = A::metrics(c.g);
+  const auto &ar = A::field(c.state.ar), &at = A::field(c.state.at),
+             &ap = A::field(c.state.ap);
+  const auto &Vr = A::ring(w.vr), &Vt = A::ring(w.vt), &Vp = A::ring(w.vp);
   const auto b =
       fd::curl_point(g, ar, at, ap, c.c_r, c.c_t, c.c_p, ir, it, q);
-  b.r.store(c.pw.br.lane_at(ir, it, q));
-  b.t.store(c.pw.bt.lane_at(ir, it, q));
-  b.p.store(c.pw.bp.lane_at(ir, it, q));
-  fd::div_point(g, Vr, Vt, Vp, c.c_r, c.c_t, c.c_p, ir, it, q)
-      .store(c.pw.divv.lane_at(ir, it, q));
+  put(b.r, w.br.at(ir, it, q));
+  put(b.t, w.bt.at(ir, it, q));
+  put(b.p, w.bp.at(ir, it, q));
+  put(fd::div_point(g, Vr, Vt, Vp, c.c_r, c.c_t, c.c_p, ir, it, q),
+      w.divv.at(ir, it, q));
   const auto cv =
       fd::curl_point(g, Vr, Vt, Vp, c.c_r, c.c_t, c.c_p, ir, it, q);
-  cv.r.store(c.pw.cvr.lane_at(ir, it, q));
-  cv.t.store(c.pw.cvt.lane_at(ir, it, q));
-  cv.p.store(c.pw.cvp.lane_at(ir, it, q));
+  put(cv.r, w.cvr.at(ir, it, q));
+  put(cv.t, w.cvt.at(ir, it, q));
+  put(cv.p, w.cvp.at(ir, it, q));
 }
 
 /// All eight tendencies at lanes ir…ir+W−1 of output plane ip, in the
 /// reference chain's accumulation order (combine body).
 template <int W>
-inline void combine_point(const SweepCtx& c, int ir, int it, int ip,
-                          double st, double ct) {
-  using P = simd::Pack<W>;
-  const fd::LaneMetrics<W> g{&c.g};
+inline void combine_point(const SweepCtx& c, const Planes& w, int ir,
+                          int it, int ip, double st, double ct) {
+  using A = Access<W>;
+  const auto& g = A::metrics(c.g);
   const EquationParams& eq = c.eq;
-  const fd::FieldLanes<W> Srho{&c.state.rho}, Sfr{&c.state.fr},
-      Sft{&c.state.ft}, Sfp{&c.state.fp}, Sp{&c.state.p};
-  const fd::RingLanes<W> Vr{&c.pw.vr}, Vt{&c.pw.vt}, Vp{&c.pw.vp},
-      Tp{&c.pw.T}, Br{&c.pw.br}, Bt{&c.pw.bt}, Bp{&c.pw.bp},
-      Dv{&c.pw.divv}, Cr{&c.pw.cvr}, Ct{&c.pw.cvt}, Cp{&c.pw.cvp};
+  const auto &Srho = A::field(c.state.rho), &Sfr = A::field(c.state.fr),
+             &Sft = A::field(c.state.ft), &Sfp = A::field(c.state.fp),
+             &Sp = A::field(c.state.p);
+  const auto &Vr = A::ring(w.vr), &Vt = A::ring(w.vt), &Vp = A::ring(w.vp),
+             &Tp = A::ring(w.T), &Br = A::ring(w.br), &Bt = A::ring(w.bt),
+             &Bp = A::ring(w.bp), &Dv = A::ring(w.divv),
+             &Cr = A::ring(w.cvr), &Ct = A::ring(w.cvt),
+             &Cp = A::ring(w.cvp);
   const double c_r = c.c_r, c_t = c.c_t, c_p = c.c_p;
+  Fields& rhs = c.rhs;
 
   // --- eq. (2): ∂ρ/∂t = −∇·f -----------------------------------
-  (-fd::div_point(g, Sfr, Sft, Sfp, c_r, c_t, c_p, ir, it, ip))
-      .store(&c.rhs.rho(ir, it, ip));
+  put(-fd::div_point(g, Sfr, Sft, Sfp, c_r, c_t, c_p, ir, it, ip),
+      &rhs.rho(ir, it, ip));
 
   // --- eq. (3): momentum ---------------------------------------
   const auto dvf = fd::div_vf_point(g, Vr, Vt, Vp, Sfr, Sft, Sfp, c_r, c_t,
                                     c_p, ir, it, ip);
   const auto gp = fd::grad_point(g, Sp, c_r, c_t, c_p, ir, it, ip);
-  P fr_acc = -dvf.r - gp.r;
-  P ft_acc = -dvf.t - gp.t;
-  P fp_acc = -dvf.p - gp.p;
+  auto fr_acc = -dvf.r - gp.r;
+  auto ft_acc = -dvf.t - gp.t;
+  auto fp_acc = -dvf.p - gp.p;
   const auto gd = fd::grad_point(g, Dv, c_r, c_t, c_p, ir, it, ip);
   fr_acc += c.c43 * gd.r;
   ft_acc += c.c43 * gd.t;
@@ -120,65 +203,71 @@ inline void combine_point(const SweepCtx& c, int ir, int it, int ip,
       eq.omega.x * ct * cp + eq.omega.y * ct * sp - eq.omega.z * st;
   const double o_p = -eq.omega.x * sp + eq.omega.y * cp;
 
-  const P rho = Srho(ir, it, ip);
-  const P vrc = Vr(ir, it, ip), vtc = Vt(ir, it, ip), vpc = Vp(ir, it, ip);
-  const P brc = Br(ir, it, ip), btc = Bt(ir, it, ip), bpc = Bp(ir, it, ip);
+  const auto rho = Srho(ir, it, ip);
+  const auto vrc = Vr(ir, it, ip), vtc = Vt(ir, it, ip), vpc = Vp(ir, it, ip);
+  const auto brc = Br(ir, it, ip), btc = Bt(ir, it, ip), bpc = Bp(ir, it, ip);
   const auto j = fd::curl_point(g, Br, Bt, Bp, c_r, c_t, c_p, ir, it, ip);
-  const P jrc = j.r, jtc = j.t, jpc = j.p;
+  const auto jrc = j.r, jtc = j.t, jpc = j.p;
 
-  const P gr = -eq.g0 * g.inv_r(ir) * g.inv_r(ir);  // g = −g0/r² r̂
+  const auto gr = -eq.g0 * g.inv_r(ir) * g.inv_r(ir);  // g = −g0/r² r̂
 
   fr_acc += (jtc * bpc - jpc * btc) + rho * gr +
             2.0 * rho * (vtc * o_p - vpc * o_t);
   ft_acc += (jpc * brc - jrc * bpc) + 2.0 * rho * (vpc * o_r - vrc * o_p);
   fp_acc += (jrc * btc - jtc * brc) + 2.0 * rho * (vrc * o_t - vtc * o_r);
-  fr_acc.store(&c.rhs.fr(ir, it, ip));
-  ft_acc.store(&c.rhs.ft(ir, it, ip));
-  fp_acc.store(&c.rhs.fp(ir, it, ip));
+  put(fr_acc, &rhs.fr(ir, it, ip));
+  put(ft_acc, &rhs.ft(ir, it, ip));
+  put(fp_acc, &rhs.fp(ir, it, ip));
 
   // --- eq. (4): pressure ---------------------------------------
-  const P adv =
+  const auto adv =
       fd::advect_point(g, Vr, Vt, Vp, Sp, c_r, c_t, c_p, ir, it, ip);
-  const P lap =
+  const auto lap =
       fd::laplacian_point(g, Tp, c.irr, c.itt, c.ipp, c_r, c_t, ir, it, ip);
-  const P j2 = jrc * jrc + jtc * jtc + jpc * jpc;
-  P p_acc = -adv - eq.gamma * Sp(ir, it, ip) * Dv(ir, it, ip) +
-            c.gm1 * (eq.kappa * lap + eq.eta * j2);
+  const auto j2 = jrc * jrc + jtc * jtc + jpc * jpc;
+  auto p_acc = -adv - eq.gamma * Sp(ir, it, ip) * Dv(ir, it, ip) +
+               c.gm1 * (eq.kappa * lap + eq.eta * j2);
   p_acc += c.cstr * fd::strain_point(g, Vr, Vt, Vp, c_r, c_t, c_p, ir, it, ip);
-  p_acc.store(&c.rhs.p(ir, it, ip));
+  put(p_acc, &rhs.p(ir, it, ip));
 
   // --- eq. (5): ∂A/∂t = −E = v×B − ηj --------------------------
-  ((vtc * bpc - vpc * btc) - eq.eta * jrc).store(&c.rhs.ar(ir, it, ip));
-  ((vpc * brc - vrc * bpc) - eq.eta * jtc).store(&c.rhs.at(ir, it, ip));
-  ((vrc * btc - vtc * brc) - eq.eta * jpc).store(&c.rhs.ap(ir, it, ip));
+  put((vtc * bpc - vpc * btc) - eq.eta * jrc, &rhs.ar(ir, it, ip));
+  put((vpc * brc - vrc * bpc) - eq.eta * jtc, &rhs.at(ir, it, ip));
+  put((vrc * btc - vtc * brc) - eq.eta * jpc, &rhs.ap(ir, it, ip));
 }
 
-/// The rolling sweep at pack width W: same plane schedule as
-/// compute_rhs_fused; each radial line runs full W-lane packs then the
-/// W=1 instantiation over the remainder.
+/// The rolling sweep at pack width W (plane schedule in the file
+/// comment); each radial line runs full W-lane packs then the W=1
+/// instantiation over the remainder.  Flattened, so every per-point
+/// body and stencil is inlined into its loop and ring/field bases hoist
+/// out of the radial loops: left to the inliner's budget, shared by four
+/// widths in this TU, the W=1 stencils stayed calls per point.
 template <int W>
-void sweep(const SweepCtx& c) {
+[[gnu::flatten]] void sweep(const SweepCtx& c) {
   const auto fill_vt = [&](int q) {
+    const Planes w(c.pw, q);
     for (int it = c.e2.t0; it < c.e2.t1; ++it) {
       int ir = c.e2.r0;
-      for (; ir + W <= c.e2.r1; ir += W) vt_point<W>(c, ir, it, q);
-      for (; ir < c.e2.r1; ++ir) vt_point<1>(c, ir, it, q);
+      for (; ir + W <= c.e2.r1; ir += W) vt_point<W>(c, w, ir, it, q);
+      for (; ir < c.e2.r1; ++ir) vt_point<1>(c, w, ir, it, q);
     }
   };
   const auto fill_derived = [&](int q) {
+    const Planes w(c.pw, q);
     for (int it = c.e1.t0; it < c.e1.t1; ++it) {
       int ir = c.e1.r0;
-      for (; ir + W <= c.e1.r1; ir += W) derived_point<W>(c, ir, it, q);
-      for (; ir < c.e1.r1; ++ir) derived_point<1>(c, ir, it, q);
+      for (; ir + W <= c.e1.r1; ir += W) derived_point<W>(c, w, ir, it, q);
+      for (; ir < c.e1.r1; ++ir) derived_point<1>(c, w, ir, it, q);
     }
   };
   const auto combine = [&](int ip) {
+    const Planes w(c.pw, ip);
     for (int it = c.box.t0; it < c.box.t1; ++it) {
       const double st = c.g.sin_t(it), ct = c.g.cos_t(it);
       int ir = c.box.r0;
       for (; ir + W <= c.box.r1; ir += W)
-        combine_point<W>(c, ir, it, ip, st, ct);
-      for (; ir < c.box.r1; ++ir) combine_point<1>(c, ir, it, ip, st, ct);
+        combine_point<W>(c, w, ir, it, ip, st, ct);
+      for (; ir < c.box.r1; ++ir) combine_point<1>(c, w, ir, it, ip, st, ct);
     }
   };
 
@@ -201,9 +290,10 @@ void compute_rhs_simd_width(int width, const SphericalGrid& g,
   if (box.volume() == 0) return;
   const IndexBox e2 = box.grown(2);
   const IndexBox e1 = box.grown(1);
-  // Same reach as the fused sweep; the pack loads of a radial line stay
-  // inside the extents the scalar line touches (the loop guard keeps
-  // ir+W−1 inside each loop's own bound).
+  // Same reach as the reference chain: the sweep touches box.grown(2)
+  // (metric tables and state ghosts must exist there).  The pack loads
+  // of a radial line stay inside the extents the scalar line touches
+  // (the loop guard keeps ir+W−1 inside each loop's own bound).
   YY_REQUIRE(e2.r0 >= 0 && e2.r1 <= g.Nr());
   YY_REQUIRE(e2.t0 >= 0 && e2.t1 <= g.Nt());
   YY_REQUIRE(e2.p0 >= 0 && e2.p1 <= g.Np());
@@ -265,7 +355,9 @@ void compute_rhs_simd_width(int width, const SphericalGrid& g,
             static_cast<std::uint64_t>(box.r1 - box.r0));
   simd::lane_stats_add(stats);
 
-  // Identical flop charge to the fused and reference paths: the lanes
+  // Identical charge to the reference chain, term for term: v/T over
+  // box.grown(2); B, ∇·v, ∇×v over box.grown(1); every remaining
+  // operator (including the on-the-fly j = ∇×B) over box.  The lanes
   // change how the points are traversed, not how many ops each costs.
   flops::add(vol(e2) * kFlopsVelTemp +
              vol(e1) * (2 * fd::kFlopsCurl + fd::kFlopsDiv) +

@@ -16,8 +16,8 @@ Rk4::Rk4(const std::vector<const SphericalGrid*>& grids, RhsBackend backend)
     k_.emplace_back(*g);
     stage_.emplace_back(*g);
     acc_.emplace_back(*g);
-    // Pre-grow the reference workspaces to the full patch; the fused
-    // backend's pencil rings size themselves on first sweep.
+    // Pre-grow the reference workspaces to the full patch; the pencil
+    // rings of the simd backend size themselves on first sweep.
     if (backend_ == RhsBackend::reference) ws_.emplace_back(*g);
   }
   if (backend_ == RhsBackend::reference) {
@@ -43,14 +43,11 @@ void Rk4::step(const std::vector<PatchDef>& patches, double dt,
 
   const int nthreads = overlap ? common::env_threads() : 1;
 
-  // Backend dispatch: the three paths are bitwise equivalent (rhs.hpp),
-  // they differ only in scratch shape and sweep structure.  The simd
-  // backend shares the fused path's pencil workspaces.
+  // Backend dispatch: the two paths are bitwise equivalent (rhs.hpp),
+  // they differ only in scratch shape and sweep structure.
   auto rhs_box = [&](std::size_t i, const Fields& src, const IndexBox& box) {
     if (backend_ == RhsBackend::simd) {
       compute_rhs_simd(*grids_[i], patches[i].eq, src, k_[i], pw_[i], box);
-    } else if (backend_ == RhsBackend::fused) {
-      compute_rhs_fused(*grids_[i], patches[i].eq, src, k_[i], pw_[i], box);
     } else {
       compute_rhs(*grids_[i], patches[i].eq, src, k_[i], ws_[i], box);
     }
@@ -60,9 +57,6 @@ void Rk4::step(const std::vector<PatchDef>& patches, double dt,
     if (backend_ == RhsBackend::simd) {
       compute_rhs_parallel_simd(*grids_[i], patches[i].eq, src, k_[i],
                                 pw_pool_[i], box, nthreads);
-    } else if (backend_ == RhsBackend::fused) {
-      compute_rhs_parallel_fused(*grids_[i], patches[i].eq, src, k_[i],
-                                 pw_pool_[i], box, nthreads);
     } else {
       compute_rhs_parallel(*grids_[i], patches[i].eq, src, k_[i], ws_pool_[i],
                            box, nthreads);

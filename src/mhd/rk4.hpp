@@ -54,9 +54,9 @@ class Rk4 {
 
   /// Allocates stage storage for the given patch shapes; `backend`
   /// selects the RHS evaluation strategy (bitwise-equivalent paths,
-  /// see rhs.hpp).
-  explicit Rk4(const std::vector<const SphericalGrid*>& grids,
-               RhsBackend backend = RhsBackend::reference);
+  /// see rhs.hpp).  There is no default: SimulationConfig::rhs_backend
+  /// is the one place the solvers' default is decided.
+  Rk4(const std::vector<const SphericalGrid*>& grids, RhsBackend backend);
 
   /// Advances every patch by dt.  The incoming states must already
   /// have valid ghosts; on return the new states have valid ghosts
@@ -73,13 +73,13 @@ class Rk4 {
 
  private:
   std::vector<const SphericalGrid*> grids_;
-  RhsBackend backend_ = RhsBackend::reference;
+  RhsBackend backend_;
   std::vector<Fields> k_;      // stage derivative
   std::vector<Fields> stage_;  // stage state
   std::vector<Fields> acc_;    // accumulated solution
   std::vector<Workspace> ws_;                    // reference backend
   std::vector<std::vector<Workspace>> ws_pool_;  // per patch, per thread
-  std::vector<PencilWorkspace> pw_;                    // fused backend
+  std::vector<PencilWorkspace> pw_;                    // simd backend
   std::vector<std::vector<PencilWorkspace>> pw_pool_;  // per patch, per thread
 };
 

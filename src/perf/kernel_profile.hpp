@@ -4,6 +4,7 @@
 /// hardware counter supplied in the paper.
 #pragma once
 
+#include "core/config.hpp"
 #include "mhd/rhs.hpp"
 
 namespace yy::perf {
@@ -25,18 +26,12 @@ struct KernelProfile {
   /// software flop counter.  Flops per point are resolution-independent
   /// up to ghost-fraction effects, so a small grid suffices; the
   /// (nr, nt, np) arguments allow convergence checks of that claim.
-  /// `backend` selects the RHS evaluation — all three charge identical
-  /// flops, so only the seconds/gflops (and lane) figures move.
-  static KernelProfile measure(int nr, int nt_core, int np_core,
-                               mhd::RhsBackend backend);
-
-  /// Legacy bool form: false = reference, true = fused.
-  static KernelProfile measure(int nr = 17, int nt_core = 13, int np_core = 37,
-                               bool fused_rhs = false) {
-    return measure(nr, nt_core, np_core,
-                   fused_rhs ? mhd::RhsBackend::fused
-                             : mhd::RhsBackend::reference);
-  }
+  /// `backend` selects the RHS evaluation (default: the config's) — both
+  /// charge identical flops, so only the seconds/gflops (and lane)
+  /// figures move.
+  static KernelProfile measure(
+      int nr = 17, int nt_core = 13, int np_core = 37,
+      mhd::RhsBackend backend = core::SimulationConfig{}.rhs_backend);
 };
 
 }  // namespace yy::perf

@@ -12,14 +12,18 @@ namespace yy::resilience {
 
 namespace {
 
-/// Restores the fabric receive deadline on every exit path.  Holds the
-/// communicator by value: a shrink recovery replaces the solver's
-/// runner (and with it the communicator the guard was built from), but
-/// the copied handle keeps addressing the shared fabric.
+/// Restores the fabric receive deadline on every exit path but a rank's
+/// own death.  Holds the communicator by value: a shrink recovery
+/// replaces the solver's runner (and with it the communicator the guard
+/// was built from), but the copied handle keeps addressing the shared
+/// fabric.
 struct DeadlineGuard {
   comm::Communicator world;
   int prev;
-  ~DeadlineGuard() { world.set_take_deadline_ms(prev); }
+  bool restore = true;
+  ~DeadlineGuard() {
+    if (restore) world.set_take_deadline_ms(prev);
+  }
 };
 
 /// An unset health-verdict deadline inherits the runner's take
@@ -267,6 +271,10 @@ RunReport ResilientRunner::run(long long target_steps, double dt) {
         if (ds >= 0 && solver_.steps_taken() >= ds) {
           plan->mark_rank_death_fired(me_w);
           world.retire();
+          // The deadline is fabric-wide: restoring it here would leave
+          // a survivor blocked forever on a peer that has moved on to
+          // recovery, instead of timing out and joining it.
+          guard.restore = false;
           return fail(std::move(r), "rank death injected by fault plan");
         }
         // Scheduled silent corruption lands here, between steps with

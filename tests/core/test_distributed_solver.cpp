@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <mutex>
 
 #include "comm/runtime.hpp"
@@ -135,6 +136,34 @@ TEST(DistributedSolver, StableDtIsGlobalMinimum) {
   EXPECT_DOUBLE_EQ(dts[0], dts[1]);
   EXPECT_DOUBLE_EQ(dts[0], dts[2]);
   EXPECT_DOUBLE_EQ(dts[0], dts[3]);
+}
+
+TEST(DistributedSolver, NanOnOneRankMakesStableDtNanOnEveryRank) {
+  // allreduce_min alone would keep a NaN only as a left operand, so a
+  // NaN confined to the last rank would vanish from the reduction.
+  const SimulationConfig cfg = dist_config();
+  SerialYinYangSolver serial(cfg);
+  serial.initialize();
+  const double dt_serial = serial.stable_dt();
+
+  comm::Runtime rt(4);
+  double finite[4], poisoned[4];
+  rt.run([&](comm::Communicator& w) {
+    DistributedSolver solver(cfg, w, 1, 2);
+    solver.initialize();
+    finite[w.rank()] = solver.stable_dt();
+    if (w.rank() == 3) {
+      const IndexBox in = solver.local_grid().interior();
+      solver.local_state().rho(in.r0 + 1, in.t0 + 1, in.p0 + 1) =
+          std::numeric_limits<double>::quiet_NaN();
+    }
+    poisoned[w.rank()] = solver.stable_dt();
+  });
+  for (int r = 0; r < 4; ++r) {
+    SCOPED_TRACE(r);
+    EXPECT_EQ(finite[r], dt_serial);
+    EXPECT_TRUE(std::isnan(poisoned[r])) << poisoned[r];
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 namespace yy::core {
 namespace {
@@ -31,6 +32,18 @@ TEST(SerialSolver, InitializeEstablishesFiniteState) {
   EXPECT_DOUBLE_EQ(e.kinetic, 0.0);  // fluid at rest
   EXPECT_GT(e.magnetic, 0.0);        // seed field present
   EXPECT_LT(e.magnetic, 1e-4);       // ... and infinitesimally small
+}
+
+TEST(SerialSolver, NanOnYangPanelMakesStableDtNan) {
+  // The Yang panel's dt is the right operand of the panel minimum,
+  // where std::min would drop a NaN.
+  SerialYinYangSolver s(small_config());
+  s.initialize();
+  ASSERT_TRUE(std::isfinite(s.stable_dt()));
+  const IndexBox in = s.grid().interior();
+  s.panel(yinyang::Panel::yang).p(in.r0 + 2, in.t0 + 3, in.p0 + 4) =
+      std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(s.stable_dt()));
 }
 
 TEST(SerialSolver, StableOverManySteps) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 namespace yy::core {
@@ -79,6 +80,25 @@ TEST(Simulation, GrowthLimiterBoundsDtJumps) {
   // Re-run with recorded dt sequence via snapshots is overkill; the
   // limiter's contract is indirectly covered by reaching t_end stably.
   (void)times;
+}
+
+TEST(Simulation, NanStateStopsAsDivergedBeforeStepping) {
+  SerialYinYangSolver solver(sim_config());
+  solver.initialize();
+  const IndexBox in = solver.grid().interior();
+  solver.panel(yinyang::Panel::yang).p(in.r0 + 2, in.t0 + 3, in.p0 + 4) =
+      std::numeric_limits<double>::quiet_NaN();
+  const double t0 = solver.time();
+  Simulation sim(solver);
+  RunControl ctl;
+  ctl.t_end = 0.02;
+  const RunSummary sum = sim.run(ctl);
+  EXPECT_TRUE(sum.diverged);
+  EXPECT_FALSE(sum.hit_step_limit);
+  EXPECT_FALSE(sum.hit_wall_limit);
+  EXPECT_EQ(sum.steps, 0);
+  EXPECT_TRUE(std::isfinite(sum.t_final));
+  EXPECT_EQ(sum.t_final, t0);
 }
 
 TEST(Simulation, WallClockLimitTrips) {

@@ -1,6 +1,6 @@
 /// Seeded randomized differential fuzzing of the solver stack: ~20
 /// random small configurations sweeping grid sizes, RHS backends
-/// (reference / fused / simd, with random forced lane widths), the
+/// (reference / simd, the latter at random forced lane widths), the
 /// overlapped stepping mode (which with the registered YY_THREADS=2
 /// also toggles the threaded sweeps) and rank layouts — each asserting
 /// that the serial whole-sphere solver and the distributed solver land
@@ -39,14 +39,14 @@ struct CaseSpec {
   SimulationConfig cfg;
   int pt = 1;
   int pp = 1;
-  int simd_width = 0;  ///< forced lane width when cfg.simd_rhs, else 0
+  int simd_width = 0;  ///< forced lane width on the simd backend, else 0
 
   std::string describe(int index, std::uint64_t seed) const {
     std::ostringstream os;
     os << "fuzz case " << index << " (derived seed 0x" << std::hex << seed
        << std::dec << "): nr=" << cfg.nr << " nt_core=" << cfg.nt_core
        << " np_core=" << cfg.np_core << " backend="
-       << mhd::backend_name(cfg.rhs_backend());
+       << mhd::backend_name(cfg.rhs_backend);
     if (simd_width > 0) os << " width=" << simd_width;
     os << " overlap=" << (cfg.overlap ? 1 : 0) << " layout=" << pt << "x"
        << pp << " mu=" << cfg.eq.mu << " kappa=" << cfg.eq.kappa
@@ -83,11 +83,10 @@ CaseSpec random_case(std::uint64_t seed) {
   c.cfg.ic.seed = rng.next_u64();
 
   // Execution shape: backend × overlap × rank layout.
-  static constexpr int kBackend[] = {0, 1, 2};
-  const int backend = pick(rng, kBackend);
-  c.cfg.fused_rhs = backend == 1;
-  c.cfg.simd_rhs = backend == 2;
-  if (c.cfg.simd_rhs) {
+  static constexpr mhd::RhsBackend kBackends[] = {mhd::RhsBackend::reference,
+                                                  mhd::RhsBackend::simd};
+  c.cfg.rhs_backend = pick(rng, kBackends);
+  if (c.cfg.rhs_backend == mhd::RhsBackend::simd) {
     static constexpr int kWidths[] = {1, 2, 4, 8};
     c.simd_width = pick(rng, kWidths);
   }
@@ -159,18 +158,18 @@ TEST(ConfigFuzz, SerialAndDistributedTrajectoriesAgreeBitwise) {
 /// The corpus must actually sweep the execution-shape axes, or a
 /// generator regression could silently fuzz one backend forever.
 TEST(ConfigFuzz, CorpusCoversBackendsModesAndLayouts) {
-  bool backend_seen[3] = {false, false, false};
+  bool backend_seen[2] = {false, false};
   bool overlap_seen[2] = {false, false};
   bool multirank = false;
   for (int i = 0; i < kCases; ++i) {
     const std::uint64_t seed =
         kMasterSeed + 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(i + 1);
     const CaseSpec c = random_case(seed);
-    backend_seen[static_cast<int>(c.cfg.rhs_backend())] = true;
+    backend_seen[static_cast<int>(c.cfg.rhs_backend)] = true;
     overlap_seen[c.cfg.overlap ? 1 : 0] = true;
     if (c.pt * c.pp > 1) multirank = true;
   }
-  EXPECT_TRUE(backend_seen[0] && backend_seen[1] && backend_seen[2]);
+  EXPECT_TRUE(backend_seen[0] && backend_seen[1]);
   EXPECT_TRUE(overlap_seen[0] && overlap_seen[1]);
   EXPECT_TRUE(multirank);
 }

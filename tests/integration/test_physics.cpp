@@ -9,8 +9,8 @@
 
 #include "core/serial_solver.hpp"
 #include "grid/fd_ops.hpp"
-#include "io/checkpoint.hpp"
 #include "mhd/derived.hpp"
+#include "resilience/checkpoint2.hpp"
 
 namespace yy {
 namespace {
@@ -133,12 +133,17 @@ TEST(Physics, CheckpointRestartBitExact) {
   SerialYinYangSolver s(convective_config());
   s.initialize();
   s.run_steps(8);
-  const std::string path = std::string(::testing::TempDir()) + "/restart.bin";
+  const std::string path = std::string(::testing::TempDir()) + "/restart.yyc2";
   const SphericalGrid& g = s.grid();
-  io::CheckpointHeader hdr{g.Nr(), g.Nt(), g.Np(), 2, s.time(),
-                           s.steps_taken()};
-  ASSERT_TRUE(io::save_checkpoint(path, hdr, &s.panel(Panel::yin),
-                                  &s.panel(Panel::yang)));
+  resilience::CheckpointMetaV2 meta;
+  meta.nr = g.Nr();
+  meta.nt = g.Nt();
+  meta.np = g.Np();
+  meta.panels = 2;
+  meta.time = s.time();
+  meta.step = s.steps_taken();
+  ASSERT_TRUE(resilience::save_checkpoint_v2(path, meta, &s.panel(Panel::yin),
+                                             &s.panel(Panel::yang)));
 
   // Continue the original for 5 more steps at a fixed dt.
   const double dt = s.stable_dt();
@@ -147,9 +152,11 @@ TEST(Physics, CheckpointRestartBitExact) {
   // Restart a fresh solver from the checkpoint and do the same.
   SerialYinYangSolver r(convective_config());
   r.initialize();
-  io::CheckpointHeader back;
-  ASSERT_TRUE(io::load_checkpoint(path, back, &r.panel(Panel::yin),
-                                  &r.panel(Panel::yang)));
+  resilience::CheckpointMetaV2 back;
+  ASSERT_EQ(resilience::load_checkpoint_v2(path, back, &r.panel(Panel::yin),
+                                           &r.panel(Panel::yang)),
+            resilience::LoadStatus::ok);
+  EXPECT_EQ(back.step, meta.step);
   for (int i = 0; i < 5; ++i) r.step(dt);
 
   for_box(g.interior(), [&](int ir, int it, int ip) {

@@ -2,7 +2,7 @@
 /// the historic ~19×YY_THREADS full-grid multiplier): a Workspace
 /// allocates exactly the grown-box extents an evaluation indexes, the
 /// threaded pool holds slab-sized (not full-grid) entries, and the
-/// fused backend's pencil rings are O(depth·Nr·Nt) planes, far below
+/// simd backend's pencil rings are O(depth·Nr·Nt) planes, far below
 /// any box-sized volume.
 #include "mhd/rhs.hpp"
 
@@ -109,7 +109,7 @@ TEST(WorkspaceFootprint, PencilWorkspaceIsPlanesNotVolumes) {
       4 * 5 * area(in.grown(2)) + 7 * 3 * area(in.grown(1));
   EXPECT_EQ(pw.allocated_doubles(), expected);
 
-  // The point of the fused path's memory layer: pencil scratch is a
+  // The point of the pencil sweep's memory layer: pencil scratch is a
   // small fraction of the reference path's box-sized volumes.
   EXPECT_LT(5 * pw.allocated_doubles(), expected_workspace_doubles(in));
 }

@@ -110,8 +110,28 @@ TEST(CheckpointV2, TwoPanelRoundTrip) {
   CheckpointMetaV2 back;
   ASSERT_EQ(load_checkpoint_v2(path, back, &yin2, &yang2), LoadStatus::ok);
   EXPECT_EQ(back.panels, 2);
-  EXPECT_EQ(yin.p.flat()[5], yin2.p.flat()[5]);
-  EXPECT_EQ(yang.ar.flat()[7], yang2.ar.flat()[7]);
+  for (int i = 0; i < mhd::Fields::kNumFields; ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    auto a = yin.all()[k]->flat(), b = yin2.all()[k]->flat();
+    auto c = yang.all()[k]->flat(), d = yang2.all()[k]->flat();
+    for (std::size_t j = 0; j < a.size(); ++j) ASSERT_EQ(a[j], b[j]);
+    for (std::size_t j = 0; j < c.size(); ++j) ASSERT_EQ(c[j], d[j]);
+  }
+}
+
+TEST(CheckpointV2, TwoPanelFileNeedsBothTargets) {
+  SphericalGrid g = tiny_grid();
+  mhd::Fields yin(g), yang(g);
+  fill_pattern(yin, 0.001);
+  fill_pattern(yang, -0.002);
+  const std::string path = temp_path("v2_two1.yyc2");
+  ASSERT_TRUE(save_checkpoint_v2(path, meta_for_grid(g, 2), &yin, &yang));
+  mhd::Fields t(g);
+  t.p(1, 1, 1) = 99.0;
+  CheckpointMetaV2 back;
+  EXPECT_EQ(load_checkpoint_v2(path, back, &t, nullptr),
+            LoadStatus::bad_shape);
+  EXPECT_DOUBLE_EQ(t.p(1, 1, 1), 99.0);  // failed load leaves state alone
 }
 
 TEST(CheckpointV2, HeaderPeekWithoutFields) {

@@ -1,6 +1,6 @@
 /// \file equivalence.hpp
 /// Shared bitwise-trajectory-equivalence helpers for the cross-backend
-/// and cross-mode suites (fused RHS, SIMD RHS, overlapped stepping,
+/// and cross-mode suites (RHS backends, overlapped stepping,
 /// rank-death recovery, config fuzzing).  One definition of "run this
 /// config on pt×pp ranks per panel and hand me the gathered end state"
 /// and one definition of "these two runs are bitwise identical", so
@@ -21,8 +21,8 @@ namespace yy::testsupport {
 /// The shared small-trajectory config: big enough to exercise both
 /// panels, halo + overset exchange and every RHS term (rotation,
 /// gravity, seeded B), small enough for a 10-step run per case under
-/// sanitizers.  Suites tweak flags (overlap, fused_rhs, simd_rhs,
-/// scheme) on top of it.
+/// sanitizers.  Suites tweak fields (overlap, rhs_backend, scheme) on
+/// top of it.
 inline core::SimulationConfig small_trajectory_config() {
   core::SimulationConfig cfg;
   cfg.nr = 9;
