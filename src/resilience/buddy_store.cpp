@@ -4,47 +4,85 @@
 
 #include "common/error.hpp"
 #include "obs/events.hpp"
+#include "resilience/checkpoint_manager.hpp"
 
 namespace yy::resilience {
 
 namespace {
-constexpr int tag_buddy_hdr = 410;
-constexpr int tag_buddy_payload = 411;
-// Scrub round: need flag + refetched replica (holder -> me direction
-// is the *reverse* of refresh: the ward re-serves its own image).
-constexpr int tag_scrub_need = 414;
-constexpr int tag_scrub_hdr = 415;
-constexpr int tag_scrub_payload = 416;
-// Restore round: a rank whose own image rotted pulls its replica back
-// from its holder.
-constexpr int tag_restore_need = 417;
-constexpr int tag_restore_hdr = 418;
-constexpr int tag_restore_payload = 419;
+// Each round uses a tag block: [need flag,] image length, image payload.
+// Refresh: 410/411.  Scrub: 414-416 (the ward re-serves its own image,
+// the *reverse* of refresh).  Restore: 417-419 (a rank whose own image
+// rotted pulls its replica back from its holder).
+constexpr int tag_buddy = 410;
+constexpr int tag_scrub = 414;
+constexpr int tag_restore = 417;
 
-CheckpointMetaV2 meta_for(const core::DistributedSolver& s, double dt) {
-  const Field3& a = *s.local_state().all()[0];
-  CheckpointMetaV2 m;
-  m.nr = a.nr();
-  m.nt = a.nt();
-  m.np = a.np();
-  m.panels = 1;  // one patch image per rank
-  m.time = s.time();
-  m.step = s.steps_taken();
-  m.dt = dt;
-  m.world_size = s.runner().world().size();
-  m.world_rank = s.runner().world().rank();
-  m.pt = s.runner().pt();
-  m.pp = s.runner().pp();
-  m.panel = static_cast<int>(s.runner().panel());
-  return m;
+/// Receive bounded by `deadline_ms` (<= 0 = the fabric default, if any).
+void recv_bounded(const comm::Communicator& world, int src, int tag,
+                  std::span<double> buf, int deadline_ms) {
+  if (deadline_ms > 0)
+    world.recv(src, tag, buf, deadline_ms);
+  else
+    world.recv(src, tag, buf);
 }
 
-// The fabric carries doubles; images travel bit-packed, 8 bytes per
-// element, zero-padded in the tail word.
-std::vector<double> pack_bytes(const std::vector<unsigned char>& b) {
-  std::vector<double> out((b.size() + 7) / 8, 0.0);
-  if (!b.empty()) std::memcpy(out.data(), b.data(), b.size());
-  return out;
+/// Sends `img` to `dest`: its length on `tag` (image sizes differ across
+/// patch shapes), the payload on tag + 1 — bit-packed, as the fabric
+/// carries doubles, zero-padded in the tail word.  Buffered sends never
+/// block.
+void ship(const comm::Communicator& world, int dest, int tag,
+          const std::vector<unsigned char>& img) {
+  const double len[1] = {static_cast<double>(img.size())};
+  std::vector<double> packed((img.size() + 7) / 8, 0.0);
+  if (!img.empty()) std::memcpy(packed.data(), img.data(), img.size());
+  world.send(dest, tag, len);
+  world.send(dest, tag + 1, packed);
+}
+
+/// Receives what ship() sent from `src` and validates it before
+/// adopting: CRC + structural sweep plus an identity check that this
+/// really is `owner`'s image, from this world, at snapshot `step`.  Only
+/// a valid image replaces `img`/`meta`.
+bool fetch(const comm::Communicator& world, int src, int tag, int owner,
+           long long step, int deadline_ms, std::vector<unsigned char>& img,
+           CheckpointMetaV2& meta) {
+  double len[1] = {0.0};
+  recv_bounded(world, src, tag, len, deadline_ms);
+  const auto nbytes = static_cast<std::size_t>(len[0]);
+  std::vector<double> packed((nbytes + 7) / 8);
+  recv_bounded(world, src, tag + 1, packed, deadline_ms);
+  std::vector<unsigned char> got(nbytes);
+  if (nbytes != 0) std::memcpy(got.data(), packed.data(), nbytes);
+
+  CheckpointMetaV2 m;
+  if (validate_checkpoint_image(got.data(), got.size(), &m) != LoadStatus::ok ||
+      m.world_rank != owner || m.world_size != world.size() || m.step != step)
+    return false;
+  img = std::move(got);
+  meta = m;
+  return true;
+}
+
+/// One flag-then-image round on a tag block (flag on `tag`, image on
+/// tag + 1/tag + 2): flags `need` to `server`, ships `served` to `client`
+/// when the client flagged, and on `need` fetches `owner`'s image from
+/// `server`.  Every rank receives exactly one flag, so the round cannot
+/// deadlock.  False when the fetched image fails validation.
+bool refetch_round(const comm::Communicator& world, int tag, bool need,
+                   int server, int client,
+                   const std::vector<unsigned char>& served, int owner,
+                   long long step, int deadline_ms,
+                   std::vector<unsigned char>& img, CheckpointMetaV2& meta) {
+  const double flag[1] = {need ? 1.0 : 0.0};
+  world.send(server, tag, flag);
+  double client_needs[1] = {0.0};
+  recv_bounded(world, client, tag, client_needs, deadline_ms);
+  if (client_needs[0] != 0.0) ship(world, client, tag + 1, served);
+  if (!need) return true;
+  if (!fetch(world, server, tag + 1, owner, step, deadline_ms, img, meta))
+    return false;
+  obs::count_event(obs::Event::replica_refetched);
+  return true;
 }
 }  // namespace
 
@@ -55,7 +93,7 @@ bool BuddyStore::refresh(core::DistributedSolver& s, double dt,
   my_rank_ = world.rank();
   ward_rank_ = ward_of(my_rank_, n);
 
-  own_meta_ = meta_for(s, dt);
+  own_meta_ = patch_meta(s, dt);
   own_ = encode_checkpoint_v2(own_meta_, &s.local_state(), nullptr);
 
   if (n < 2) {  // no buddy to pair with; the store serves only itself
@@ -64,39 +102,11 @@ bool BuddyStore::refresh(core::DistributedSolver& s, double dt,
     return true;
   }
 
-  // Ship my image around the ring (buffered sends never block), then
-  // take my ward's.  Length travels ahead of the payload because image
-  // sizes differ across patch shapes.
-  const int holder = holder_of(my_rank_, n);
-  const double own_len[1] = {static_cast<double>(own_.size())};
-  world.send(holder, tag_buddy_hdr, own_len);
-  world.send(holder, tag_buddy_payload, pack_bytes(own_));
-
-  const auto bounded_recv = [&](int tag, std::span<double> buf) {
-    if (deadline_ms > 0)
-      world.recv(ward_rank_, tag, buf, deadline_ms);
-    else  // fabric default deadline (if any) still applies
-      world.recv(ward_rank_, tag, buf);
-  };
-  double ward_len[1] = {0.0};
-  bounded_recv(tag_buddy_hdr, ward_len);
-  const auto nbytes = static_cast<std::size_t>(ward_len[0]);
-  std::vector<double> packed((nbytes + 7) / 8);
-  bounded_recv(tag_buddy_payload, packed);
-  std::vector<unsigned char> img(nbytes);
-  if (nbytes != 0) std::memcpy(img.data(), packed.data(), nbytes);
-
-  // Validate before adopting: CRC + structural sweep plus an identity
-  // check that this really is my ward's snapshot from this refresh.
-  CheckpointMetaV2 m;
-  const bool ok = validate_checkpoint_image(img.data(), img.size(), &m) ==
-                      LoadStatus::ok &&
-                  m.world_rank == ward_rank_ && m.world_size == n &&
-                  m.step == own_meta_.step;
-  if (ok) {
-    ward_ = std::move(img);
-    ward_meta_ = m;
-  }
+  // Ship my image around the ring, then take my ward's; a rejected
+  // image leaves the previously validated replica in place.
+  ship(world, holder_of(my_rank_, n), tag_buddy, own_);
+  const bool ok = fetch(world, ward_rank_, tag_buddy, ward_rank_,
+                        own_meta_.step, deadline_ms, ward_, ward_meta_);
   armed_ = !own_.empty() && !ward_.empty() &&
            ward_meta_.step == own_meta_.step;
   return ok;
@@ -118,17 +128,10 @@ bool BuddyStore::load(int w, mhd::Fields& out) const {
 }
 
 bool BuddyStore::validate(int w) const {
-  const std::vector<unsigned char>* img = nullptr;
-  if (w == my_rank_ && my_rank_ >= 0) {
-    img = &own_;
-  } else if (w == ward_rank_ && ward_rank_ >= 0) {
-    img = &ward_;
-  } else {
-    return false;
-  }
-  if (img->empty()) return false;
+  if (!can_serve(w)) return false;
+  const std::vector<unsigned char>& img = w == my_rank_ ? own_ : ward_;
   CheckpointMetaV2 m;
-  return validate_checkpoint_image(img->data(), img->size(), &m) ==
+  return validate_checkpoint_image(img.data(), img.size(), &m) ==
              LoadStatus::ok &&
          m.world_rank == w && m.step == own_meta_.step;
 }
@@ -138,51 +141,15 @@ bool BuddyStore::repair_ward(const comm::Communicator& world,
   const int n = world.size();
   if (n < 2 || own_.empty()) return true;
 
-  const int holder = holder_of(my_rank_, n);
+  // My ward still holds the authoritative image; I answer my holder.
   const bool ward_ok = validate(ward_rank_);
   if (!ward_ok) obs::count_event(obs::Event::replica_rot_detected);
-
-  const auto bounded_recv = [&](int src, int tag, std::span<double> buf) {
-    if (deadline_ms > 0)
-      world.recv(src, tag, buf, deadline_ms);
-    else
-      world.recv(src, tag, buf);
-  };
-
-  // Everyone flags its ward (the image owner) and answers its holder;
-  // buffered sends never block, and every rank receives exactly one
-  // flag, so the round cannot deadlock.
-  const double need[1] = {ward_ok ? 0.0 : 1.0};
-  world.send(ward_rank_, tag_scrub_need, need);
-  double holder_needs[1] = {0.0};
-  bounded_recv(holder, tag_scrub_need, holder_needs);
-  if (holder_needs[0] != 0.0) {
-    const double own_len[1] = {static_cast<double>(own_.size())};
-    world.send(holder, tag_scrub_hdr, own_len);
-    world.send(holder, tag_scrub_payload, pack_bytes(own_));
-  }
-  if (ward_ok) return true;
-
-  double len[1] = {0.0};
-  bounded_recv(ward_rank_, tag_scrub_hdr, len);
-  const auto nbytes = static_cast<std::size_t>(len[0]);
-  std::vector<double> packed((nbytes + 7) / 8);
-  bounded_recv(ward_rank_, tag_scrub_payload, packed);
-  std::vector<unsigned char> img(nbytes);
-  if (nbytes != 0) std::memcpy(img.data(), packed.data(), nbytes);
-
-  CheckpointMetaV2 m;
-  const bool ok = validate_checkpoint_image(img.data(), img.size(), &m) ==
-                      LoadStatus::ok &&
-                  m.world_rank == ward_rank_ && m.world_size == n &&
-                  m.step == own_meta_.step;
-  if (ok) {
-    ward_ = std::move(img);
-    ward_meta_ = m;
-    armed_ = !own_.empty();
-    obs::count_event(obs::Event::replica_refetched);
-  }
-  return ok;
+  if (!refetch_round(world, tag_scrub, !ward_ok, ward_rank_,
+                     holder_of(my_rank_, n), own_, ward_rank_, own_meta_.step,
+                     deadline_ms, ward_, ward_meta_))
+    return false;
+  if (!ward_ok) armed_ = true;
+  return true;
 }
 
 bool BuddyStore::restore_own(mhd::Fields& out, const comm::Communicator& world,
@@ -190,53 +157,16 @@ bool BuddyStore::restore_own(mhd::Fields& out, const comm::Communicator& world,
   const int n = world.size();
   if (own_.empty()) return false;
 
-  bool own_ok = validate(my_rank_);
+  // Mirror image of the scrub round: my fresh copy lives on my holder,
+  // and the flag I answer comes from my ward (whose replica I hold).
+  const bool own_ok = validate(my_rank_);
   if (!own_ok) obs::count_event(obs::Event::replica_rot_detected);
-
-  if (n >= 2) {
-    const auto bounded_recv = [&](int src, int tag, std::span<double> buf) {
-      if (deadline_ms > 0)
-        world.recv(src, tag, buf, deadline_ms);
-      else
-        world.recv(src, tag, buf);
-    };
-
-    // Mirror image of the scrub round: my fresh copy lives on my
-    // *holder*, and the flag I answer comes from my *ward* (whose
-    // replica I hold).
-    const int holder = holder_of(my_rank_, n);
-    const double need[1] = {own_ok ? 0.0 : 1.0};
-    world.send(holder, tag_restore_need, need);
-    double ward_needs[1] = {0.0};
-    bounded_recv(ward_rank_, tag_restore_need, ward_needs);
-    if (ward_needs[0] != 0.0) {
-      const double ward_len[1] = {static_cast<double>(ward_.size())};
-      world.send(ward_rank_, tag_restore_hdr, ward_len);
-      world.send(ward_rank_, tag_restore_payload, pack_bytes(ward_));
-    }
-    if (!own_ok) {
-      double len[1] = {0.0};
-      bounded_recv(holder, tag_restore_hdr, len);
-      const auto nbytes = static_cast<std::size_t>(len[0]);
-      std::vector<double> packed((nbytes + 7) / 8);
-      bounded_recv(holder, tag_restore_payload, packed);
-      std::vector<unsigned char> img(nbytes);
-      if (nbytes != 0) std::memcpy(img.data(), packed.data(), nbytes);
-
-      CheckpointMetaV2 m;
-      own_ok = validate_checkpoint_image(img.data(), img.size(), &m) ==
-                   LoadStatus::ok &&
-               m.world_rank == my_rank_ && m.world_size == n &&
-               m.step == own_meta_.step;
-      if (own_ok) {
-        own_ = std::move(img);
-        obs::count_event(obs::Event::replica_refetched);
-      }
-    }
-  }
-  if (!own_ok) return false;
-
   CheckpointMetaV2 m;
+  if (n < 2 ? !own_ok
+            : !refetch_round(world, tag_restore, !own_ok,
+                             holder_of(my_rank_, n), ward_rank_, ward_,
+                             my_rank_, own_meta_.step, deadline_ms, own_, m))
+    return false;
   return decode_checkpoint_v2(own_.data(), own_.size(), m, &out, nullptr) ==
          LoadStatus::ok;
 }

@@ -65,8 +65,8 @@ class BuddyStore {
 
   /// Full local verdict on a held image: CRC/structural sweep plus the
   /// identity check (right rank, current snapshot step).  Unlike
-  /// can_serve(), this re-reads every byte — it is what the scrubber
-  /// and the SDC restore tier use to notice rot *after* adoption.
+  /// can_serve(), this re-reads every byte — it is what the scrubber,
+  /// restore_own and the rank-loss vote use to notice rot after adoption.
   bool validate(int w) const;
 
   /// Collective scrub round over the solver's world (tags 414-416):

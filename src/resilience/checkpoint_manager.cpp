@@ -53,14 +53,13 @@ std::string CheckpointManager::manifest_path(long long step) const {
   return (fs::path(opt_.dir) / buf).string();
 }
 
-CheckpointMetaV2 CheckpointManager::meta_for(const core::DistributedSolver& s,
-                                             double dt) const {
+CheckpointMetaV2 patch_meta(const core::DistributedSolver& s, double dt) {
   const Field3& a = *s.local_state().all()[0];
   CheckpointMetaV2 m;
   m.nr = a.nr();
   m.nt = a.nt();
   m.np = a.np();
-  m.panels = 1;  // one patch file per rank
+  m.panels = 1;  // one patch per rank
   m.time = s.time();
   m.step = s.steps_taken();
   m.dt = dt;
@@ -108,7 +107,7 @@ bool CheckpointManager::save(core::DistributedSolver& s, double dt,
   YY_TRACE_SCOPE(obs::Phase::io);
   const comm::Communicator& world = s.runner().world();
   const long long step = s.steps_taken();
-  const CheckpointMetaV2 meta = meta_for(s, dt);
+  const CheckpointMetaV2 meta = patch_meta(s, dt);
 
   IoFaultSim sim = IoFaultSim::none;
   if (faults != nullptr) {

@@ -25,6 +25,11 @@ class FaultPlan;
 
 namespace yy::resilience {
 
+/// Identity of this rank's patch image (grid shape, time, step, dt,
+/// world size/rank, layout, panel): shared by the disk sets and the
+/// buddy replicas, which validate an image against it.
+CheckpointMetaV2 patch_meta(const core::DistributedSolver& s, double dt);
+
 class CheckpointManager {
  public:
   struct Options {
@@ -66,8 +71,6 @@ class CheckpointManager {
   std::string manifest_path(long long step) const;
 
  private:
-  CheckpointMetaV2 meta_for(const core::DistributedSolver& s,
-                            double dt) const;
   bool validate_patch(const core::DistributedSolver& s, long long step,
                       mhd::Fields& scratch, CheckpointMetaV2& meta) const;
   void remove_set(const core::DistributedSolver& s, long long step) const;

@@ -65,7 +65,7 @@ HealthVerdict HealthMonitor::check(const core::DistributedSolver& s,
   {
     YY_TRACE_SCOPE(obs::Phase::reduce);
     // The verdict must not outlive its peers: bound the collective so a
-    // failed rank turns into a timeout the recovery tier can act on.
+    // failed rank turns into a timeout the recovery ladder can act on.
     code = s.runner().world().allreduce_max(code,
                                             policy_.verdict_deadline_ms);
   }

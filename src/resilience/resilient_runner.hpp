@@ -1,42 +1,24 @@
 /// \file resilient_runner.hpp
 /// Fault-tolerant run control for the distributed solver.
 ///
-/// Drives DistributedSolver::step with periodic checkpointing and
-/// health monitoring, and turns faults — lost/corrupted messages
-/// (yy::Error timeouts/corruption from the hardened comm layer) or a
-/// diverging solution (HealthMonitor verdicts) — into an automatic
-/// rewind: all ranks rendezvous on the fabric, purge in-flight
-/// traffic, agree collectively on a dt backoff, and restore the newest
-/// CRC-valid checkpoint set (or reinitialize when none exists).  After
-/// a bounded number of recoveries the run fails cleanly with a
-/// structured report instead of hanging or crashing.  Because
-/// checkpoints hold the full local arrays and rewound steps re-run
-/// with the same dt schedule, a recovered run is bitwise identical to
-/// an unfaulted one.
-///
-/// Rank death gets its own recovery tier: a peer confirmed dead (its
-/// fabric rank retired) cannot be rewound around, so the survivors
-/// shrink the world (Communicator::shrink), rebuild the solver on the
-/// survivor layout and restore every patch — the dead rank's from its
-/// buddy's in-memory replica (BuddyStore), their own from their local
-/// images — then continue on the smaller world.  The restored state is
-/// bitwise what a run launched directly on the shrunk layout holds at
-/// the snapshot step, so the post-shrink trajectory is exactly the
-/// shrunk-layout trajectory.
-///
-/// Silent data corruption gets a third tier between those two: the
-/// SdcAuditor checksums the resident state after every accepted step
-/// and verifies on a cadence; a dirty collective verdict restores every
-/// rank's patch from the diskless buddy images (ring-refetching any
-/// rotted one) and rewinds only the short window since the last clean
-/// audit — cheaper than a disk rewind and, because the audited flip
-/// never reached a committed snapshot, still bitwise-identical to the
-/// unfaulted run.  A ReplicaScrubber re-CRCs the held replicas on its
-/// own cadence so the images this tier leans on have not rotted in
-/// place.
+/// Drives DistributedSolver::step with checkpoints, diskless buddy
+/// replicas, health checks and optional SDC audits, and sends every
+/// fault down one recovery ladder.  The ladder classifies the fault
+/// once — comm fault, blow-up, rank loss (a retired peer; overrides any
+/// other cause) or SDC verdict — and follows that cause's row of a const
+/// plan table (DESIGN.md §9): shrink the world or not, back dt off or
+/// not, and restore from which image rung — every rank's own buddy
+/// image, the ring replicas of the dead, or the newest disk set.  Every
+/// rung agrees on a snapshot step, restores, re-arms the audit and the
+/// replicas, and counts events; RunPolicy::max_recoveries bounds the
+/// ladder entries of a run.  A recovered run is bitwise an unfaulted
+/// one (after a shrink, one launched on the shrunk layout); a run the
+/// ladder cannot save ends in a failure whose leading clause names the
+/// cause, step and refused rungs identically on every survivor.
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "core/distributed_solver.hpp"
 #include "resilience/buddy_store.hpp"
@@ -51,38 +33,34 @@ struct RunPolicy {
   CheckpointManager::Options store;   ///< where checkpoint sets live
   long long checkpoint_interval = 10; ///< save every N steps (>= 1)
   HealthPolicy health;                ///< scan cadence + thresholds
-  int max_recoveries = 3;             ///< rewinds before giving up
-  double dt_backoff = 0.5;            ///< dt multiplier after a blow-up
+  /// Recovery-ladder entries per run() before giving up, whatever the
+  /// cause: a rewind, a shrink and an SDC restore use one each, and an
+  /// SDC restore that falls back to the disk set still uses one.
+  int max_recoveries = 3;
+  /// dt multiplier after a blow-up; dt then re-ramps at every healthy
+  /// scheduled health check, ×1.25 up to min(run-entry dt, 0.95 × the
+  /// CFL-stable dt).
+  double dt_backoff = 0.5;
   int take_deadline_ms = 2000;        ///< receive deadline while running
                                       ///  (0 keeps blocking receives)
-  int max_shrinks = 1;                ///< rank-death shrinks before giving up
-  bool buddy_checkpoints = true;      ///< keep diskless buddy replicas
-  /// Bounded dt re-ramp after a backoff: at every healthy scheduled
-  /// health check, dt grows by dt_growth up to
-  /// min(run-entry dt, dt_ramp_fraction × current CFL-stable dt).
-  double dt_growth = 1.25;
-  double dt_ramp_fraction = 0.95;
   /// Silent-data-corruption auditing (off by default: audit_interval 0
-  /// keeps byte-for-byte the pre-SDC run loop).  When on, references
-  /// are refreshed after every accepted step and verified each
-  /// sdc.audit_interval steps; a dirty collective verdict triggers the
-  /// buddy-replica restore tier below.
+  /// keeps byte-for-byte the unaudited run loop).  When on, references
+  /// are taken on the steps the audit examines and verified every
+  /// sdc.audit_interval steps; a dirty collective verdict enters the
+  /// ladder's SDC row.
   SdcPolicy sdc;
   /// Background replica scrub cadence in steps (0 = off).
   long long scrub_interval = 0;
-  /// SDC buddy restores before the verdict escalates to a full
-  /// checkpoint rewind / clean failure.
-  int max_sdc_restores = 3;
 };
 
 struct RunReport {
   bool completed = false;
   long long final_step = 0;
   double final_dt = 0.0;
-  int recoveries = 0;         ///< rewinds performed
+  int recoveries = 0;         ///< disk-rung rewinds performed
   int checkpoints_saved = 0;  ///< committed sets during this run
-  int shrinks = 0;            ///< rank-death shrink recoveries performed
-  int sdc_restores = 0;       ///< buddy-tier restores after SDC verdicts
+  int shrinks = 0;            ///< ring-replica (shrink) rungs attempted
+  int sdc_restores = 0;       ///< own-image rungs attempted on SDC verdicts
   int final_world_size = 0;   ///< world size when the run ended
   std::string failure;        ///< empty when completed
 };
@@ -103,17 +81,21 @@ class ResilientRunner {
   RunReport run(long long target_steps, double dt);
 
   CheckpointManager& checkpoints() { return ckpt_; }
-  const BuddyStore& buddies() const { return buddy_; }
 
  private:
+  /// What set the ladder off; each cause has one row in the plan table.
+  enum class Cause { comm_fault, blowup, rank_loss, sdc };
+
   RunReport fail(RunReport r, const std::string& why);
-  bool recover(RunReport& r, double& dt, bool blowup_local);
-  bool recover_from_rank_death(RunReport& r, double& dt);
-  /// Third recovery tier: on a dirty SDC verdict, every rank restores
-  /// its own patch from the diskless buddy images (ring-refetching any
-  /// rotted one) and rewinds only the short window since the last
-  /// clean audit — no disk, no dt backoff, no world change.
-  bool recover_from_sdc(RunReport& r, double& dt);
+  /// The recovery ladder (collective).  Returns "" once the state is
+  /// restored, else the failure clause every survivor agrees on.
+  std::string recover(RunReport& r, double& dt, Cause suspected);
+  /// The buddy-image rungs: 0 once restored, else a refusal key (see
+  /// the .cpp) naming why.
+  long long own_images_rung(const comm::Communicator& world, int dl);
+  long long ring_replicas_rung(const comm::Communicator& world,
+                               const comm::Communicator& shrunk,
+                               const std::vector<int>& survivors, int dl);
 
   core::DistributedSolver& solver_;
   RunPolicy policy_;
@@ -124,6 +106,7 @@ class ResilientRunner {
   ReplicaScrubber scrubber_;
   double dt_entry_ = 0.0;     ///< dt the current run() was entered with
   bool dt_reduced_ = false;   ///< a backoff is in effect; re-ramp allowed
+  int ladder_entries_ = 0;    ///< recover() calls during the current run()
 };
 
 }  // namespace yy::resilience

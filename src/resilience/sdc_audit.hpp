@@ -29,8 +29,8 @@
 ///
 /// Local evidence from both detectors is folded into one severity code
 /// and combined across ranks with an allreduce-max, so every rank
-/// returns the same collective verdict — the trigger for the
-/// ResilientRunner's buddy-replica restore tier.
+/// returns the same collective verdict — the trigger for the SDC row
+/// of the ResilientRunner's recovery ladder.
 #pragma once
 
 #include <cstdint>

@@ -7,17 +7,22 @@
 /// directly on the shrunk 3-rank layout, verified per rank and per
 /// gathered panel, in both the synchronous and the overlapped
 /// stepping modes, for an interior victim and for world rank 0 (root
-/// failover in every collective).
+/// failover in every collective).  Compound schedules — a bit flip
+/// beside a death, a flip on the shrunk world, two deaths on one
+/// recovery budget — run through the same harness.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "comm/fault.hpp"
@@ -128,31 +133,56 @@ TEST(RankDeath, ShrunkLayoutsKeepUntouchedPanelsAndRefactorLossy) {
   EXPECT_EQ(y2.pp, 3);
 }
 
-/// The PR acceptance run.  `victim` dies after completing `kDeath`
-/// steps; the survivors must finish all kTarget steps on 3 ranks with
-/// per-rank state and per-panel gathered fields bitwise equal to a
-/// direct 3-rank run of the same dt schedule.
-void expect_shrink_to_survive_bitwise(int victim, bool overlap) {
-  const core::SimulationConfig cfg = death_config(overlap);
-  constexpr int kRanks = 4;  // (1x2) Yin + (1x2) Yang
+/// A fault schedule on 4 ranks, (1x2) Yin + (1x2) Yang, checkpoint
+/// cadence 5: rank deaths (world rank, step), in step order, and
+/// low-mantissa bit flips (world rank, step) for the SDC audit to catch.
+struct Schedule {
+  std::vector<std::pair<int, long long>> deaths;
+  std::vector<std::pair<int, long long>> flips;
+  bool overlap = false;
+  int audit_interval = 0;
+  int sdc_restores = 0;  ///< expected on every survivor
+};
+
+/// The shrink-to-survive acceptance run: every scheduled victim dies
+/// after completing its death step, and the survivors must finish all
+/// kTarget steps with per-rank state and per-panel gathered fields
+/// bitwise equal to a direct unfaulted run on the final shrunk layout.
+void expect_survives_bitwise(const Schedule& sched) {
+  const core::SimulationConfig cfg = death_config(sched.overlap);
+  constexpr int kRanks = 4;
   constexpr long long kTarget = 20;
-  constexpr long long kDeath = 13;  // checkpoint cadence 5 -> snapshot 10
-  const std::string dir = fresh_dir(
-      "rankdeath_" + std::to_string(victim) + (overlap ? "_ov" : "_sync"));
+  std::string name = "rankdeath";
+  for (const auto& [r, step] : sched.deaths)
+    name += "_d" + std::to_string(r) + "at" + std::to_string(step);
+  for (const auto& [r, step] : sched.flips)
+    name += "_f" + std::to_string(r) + "at" + std::to_string(step);
+  const std::string dir = fresh_dir(name + (sched.overlap ? "_ov" : "_sync"));
   obs::EventCounters::global().reset();
 
-  std::vector<int> survivors;
-  for (int r = 0; r < kRanks; ++r)
-    if (r != victim) survivors.push_back(r);
-  const auto [yin, yang] =
-      core::DistributedSolver::shrunk_layouts({1, 2}, {1, 2}, survivors);
+  // Follow the layout through each shrink: `alive` maps the current
+  // world's ranks to fabric ranks.
+  core::PanelLayout yin{1, 2}, yang{1, 2};
+  std::vector<int> alive{0, 1, 2, 3};
+  for (const auto& [victim, step] : sched.deaths) {
+    std::vector<int> survivors, next;
+    for (int c = 0; c < static_cast<int>(alive.size()); ++c)
+      if (alive[static_cast<std::size_t>(c)] != victim) {
+        survivors.push_back(c);
+        next.push_back(alive[static_cast<std::size_t>(c)]);
+      }
+    std::tie(yin, yang) =
+        core::DistributedSolver::shrunk_layouts(yin, yang, survivors);
+    alive = next;
+  }
+  const int n_final = static_cast<int>(alive.size());
 
-  // ---- Reference: an unfaulted run executed DIRECTLY on the shrunk
-  // 3-rank layout for the whole trajectory.
-  std::vector<std::vector<double>> want(3);
+  // ---- Reference: an unfaulted run executed DIRECTLY on the final
+  // shrunk layout for the whole trajectory.
+  std::vector<std::vector<double>> want(static_cast<std::size_t>(n_final));
   std::vector<std::vector<double>> want_panel(2);
   {
-    comm::Runtime rt(3);
+    comm::Runtime rt(n_final);
     rt.run([&](comm::Communicator& w) {
       core::DistributedSolver solver(cfg, w, yin, yang);
       solver.initialize();
@@ -169,15 +199,24 @@ void expect_shrink_to_survive_bitwise(int victim, bool overlap) {
     });
   }
 
-  // ---- Faulted: 4 ranks, `victim` dies after step kDeath; the
-  // survivors shrink and continue.
-  std::vector<std::vector<double>> got(3);
+  // ---- Faulted: 4 ranks under the schedule; the survivors shrink and
+  // continue.
+  std::vector<std::vector<double>> got(static_cast<std::size_t>(n_final));
   std::vector<std::vector<double>> got_panel(2);
   std::vector<RunReport> reports(kRanks);
   {
     comm::Runtime rt(kRanks);
     auto plan = std::make_shared<comm::FaultPlan>();
-    plan->schedule_rank_death(victim, kDeath);
+    for (const auto& [victim, step] : sched.deaths)
+      plan->schedule_rank_death(victim, step);
+    for (const auto& [victim, step] : sched.flips) {
+      comm::FaultPlan::ComputeFault f;
+      f.field = 5;  // A_r, low mantissa byte: only the CRC can see it
+      f.elem = 1234;
+      f.byte = 0;
+      f.mask = 0x01;
+      plan->schedule_bitflip(victim, step, f);
+    }
     rt.install_fault_plan(plan);
     rt.run([&](comm::Communicator& w) {
       core::DistributedSolver solver(cfg, w, 1, 2);
@@ -187,10 +226,11 @@ void expect_shrink_to_survive_bitwise(int victim, bool overlap) {
       policy.store = {dir, "rd", 2};
       policy.checkpoint_interval = 5;
       policy.take_deadline_ms = 3000;  // generous for sanitizer builds
+      policy.sdc.audit_interval = sched.audit_interval;
       ResilientRunner runner(solver, policy);
       const RunReport rep = runner.run(kTarget, dt);
       reports[static_cast<std::size_t>(w.rank())] = rep;
-      if (!rep.completed) return;  // the victim: retired from the fabric
+      if (!rep.completed) return;  // a victim: retired from the fabric
 
       const int nr = solver.runner().world().rank();  // post-shrink rank
       got[static_cast<std::size_t>(nr)] = flatten(solver.local_state());
@@ -202,14 +242,15 @@ void expect_shrink_to_survive_bitwise(int victim, bool overlap) {
       }
     });
     rt.install_fault_plan(nullptr);
-    EXPECT_EQ(plan->rank_deaths_fired(), 1u);
+    EXPECT_EQ(plan->rank_deaths_fired(), sched.deaths.size());
   }
 
-  // The victim reports the injected death; every survivor reports a
-  // completed run with exactly one shrink and no rewind recoveries.
+  // Each victim reports the injected death; every survivor reports a
+  // completed run with one shrink per death and no rewind recoveries.
+  const auto shrinks = static_cast<int>(sched.deaths.size());
   for (int r = 0; r < kRanks; ++r) {
     const RunReport& rep = reports[static_cast<std::size_t>(r)];
-    if (r == victim) {
+    if (std::find(alive.begin(), alive.end(), r) == alive.end()) {
       EXPECT_FALSE(rep.completed);
       EXPECT_NE(rep.failure.find("rank death"), std::string::npos)
           << rep.failure;
@@ -217,14 +258,15 @@ void expect_shrink_to_survive_bitwise(int victim, bool overlap) {
     }
     EXPECT_TRUE(rep.completed) << "rank " << r << ": " << rep.failure;
     EXPECT_EQ(rep.final_step, kTarget) << "rank " << r;
-    EXPECT_EQ(rep.shrinks, 1) << "rank " << r;
+    EXPECT_EQ(rep.shrinks, shrinks) << "rank " << r;
     EXPECT_EQ(rep.recoveries, 0) << "rank " << r;
-    EXPECT_EQ(rep.final_world_size, 3) << "rank " << r;
+    EXPECT_EQ(rep.sdc_restores, sched.sdc_restores) << "rank " << r;
+    EXPECT_EQ(rep.final_world_size, n_final) << "rank " << r;
     EXPECT_GE(rep.checkpoints_saved, 4) << "rank " << r;
   }
 
   // Bitwise equality, per surviving rank and per gathered panel.
-  for (int nr = 0; nr < 3; ++nr) {
+  for (int nr = 0; nr < n_final; ++nr) {
     ASSERT_EQ(got[static_cast<std::size_t>(nr)].size(),
               want[static_cast<std::size_t>(nr)].size())
         << "new rank " << nr;
@@ -238,12 +280,23 @@ void expect_shrink_to_survive_bitwise(int victim, bool overlap) {
               want_panel[static_cast<std::size_t>(p)])
         << "panel " << p;
 
-  // The recovery must be visible in the obs event counters.
+  // The recovery must be visible in the obs event counters, and a
+  // survived run is not a failed one — whichever rank died.
   const auto& ev = obs::EventCounters::global();
   EXPECT_GE(ev.count(obs::Event::rank_death_detected), 1u);
-  EXPECT_EQ(ev.count(obs::Event::world_shrunk), 1u);
+  EXPECT_EQ(ev.count(obs::Event::world_shrunk),
+            static_cast<std::uint64_t>(shrinks));
   EXPECT_GE(ev.count(obs::Event::buddy_restore), 1u);
   EXPECT_GE(ev.count(obs::Event::comm_timeout), 1u);
+  EXPECT_EQ(ev.count(obs::Event::sdc_restore),
+            static_cast<std::uint64_t>(sched.sdc_restores));
+  EXPECT_EQ(ev.count(obs::Event::run_failed), 0u);
+}
+
+void expect_shrink_to_survive_bitwise(int victim, bool overlap) {
+  // Checkpoint cadence 5: the death at 13 restores the step-10 snapshot.
+  expect_survives_bitwise(
+      {.deaths = {{victim, 13}}, .flips = {}, .overlap = overlap});
 }
 
 TEST(RankDeath, ShrinkToSurviveMatchesDirectShrunkRunSync) {
@@ -258,6 +311,31 @@ TEST(RankDeath, ShrinkSurvivesDeathOfWorldRankZero) {
   // Root failover: every rank-0-star collective (reductions, gathers,
   // shrink itself) must re-root on the lowest survivor.
   expect_shrink_to_survive_bitwise(/*victim=*/0, /*overlap=*/false);
+}
+
+// Compound faults: several fault kinds in one run, each ending bitwise
+// equal to the unfaulted trajectory on the final layout.  Audit cadence 4.
+
+TEST(CompoundFault, FlipAndDeathAtTheSameStep) {
+  // Rank 1 dies at 12 while rank 2's flip sits unaudited: the shrink
+  // restores a snapshot that predates the flip.
+  expect_survives_bitwise(
+      {.deaths = {{1, 12}}, .flips = {{2, 12}}, .audit_interval = 4});
+}
+
+TEST(CompoundFault, FlipOnTheShrunkWorld) {
+  // Rank 1 dies at 13; rank 2's flip at 16 is caught by the audit on the
+  // 3-rank world and repaired from the re-armed own images.
+  expect_survives_bitwise({.deaths = {{1, 13}},
+                           .flips = {{2, 16}},
+                           .audit_interval = 4,
+                           .sdc_restores = 1});
+}
+
+TEST(CompoundFault, TwoDeathsSurvivedOnOneBudget) {
+  // Two shrinks, 4 -> 3 -> 2 ranks, both within the default budget.
+  expect_survives_bitwise(
+      {.deaths = {{1, 7}, {3, 14}}, .flips = {}, .audit_interval = 4});
 }
 
 }  // namespace

@@ -161,8 +161,12 @@ TEST(SdcScrub, RepairsCorruptReplicaInPlace) {
 /// restored from the buddy images, and the completed run is bitwise
 /// the unfaulted trajectory.  With `rot_own`, the victim's own buddy
 /// image is rotted at the same step, forcing the restore to ring-fetch
-/// the replica back from its holder.
-void expect_sdc_recovery_bitwise(int pt, int pp, bool overlap, bool rot_own) {
+/// the replica back from its holder.  With `rot_holder` too, that
+/// replica has rotted as well: the own-image rung is refused and the
+/// ladder falls back to the disk rung (no set yet, so a replay from the
+/// initial state), still bitwise.
+void expect_sdc_recovery_bitwise(int pt, int pp, bool overlap, bool rot_own,
+                                 bool rot_holder = false) {
   core::SimulationConfig cfg = testsupport::small_trajectory_config();
   cfg.overlap = overlap;
   const int ranks = 2 * pt * pp;
@@ -172,7 +176,7 @@ void expect_sdc_recovery_bitwise(int pt, int pp, bool overlap, bool rot_own) {
   constexpr int kVictim = 1;
   const std::string dir =
       fresh_dir("sdc_" + std::to_string(ranks) + (overlap ? "_ov" : "_sync") +
-                (rot_own ? "_rot" : ""));
+                (rot_own ? "_rot" : "") + (rot_holder ? "_holder" : ""));
   obs::EventCounters::global().reset();
 
   // ---- Reference: the unfaulted trajectory on the same layout.
@@ -213,6 +217,9 @@ void expect_sdc_recovery_bitwise(int pt, int pp, bool overlap, bool rot_own) {
     if (rot_own)
       plan->schedule_replica_rot(kVictim, kFlip,
                                  comm::FaultPlan::ReplicaTarget::own);
+    if (rot_holder)
+      plan->schedule_replica_rot(BuddyStore::holder_of(kVictim, ranks), kFlip,
+                                 comm::FaultPlan::ReplicaTarget::ward);
     rt.install_fault_plan(plan);
     rt.run([&](comm::Communicator& w) {
       core::DistributedSolver solver(cfg, w, pt, pp);
@@ -223,7 +230,6 @@ void expect_sdc_recovery_bitwise(int pt, int pp, bool overlap, bool rot_own) {
       policy.checkpoint_interval = 50;  // the audit owns the snapshots
       policy.take_deadline_ms = 3000;
       policy.sdc.audit_interval = kCadence;
-      policy.max_sdc_restores = 2;
       ResilientRunner runner(solver, policy);
       const RunReport rep = runner.run(kTarget, dt);
       reports[static_cast<std::size_t>(w.rank())] = rep;
@@ -246,7 +252,7 @@ void expect_sdc_recovery_bitwise(int pt, int pp, bool overlap, bool rot_own) {
     EXPECT_TRUE(rep.completed) << "rank " << r << ": " << rep.failure;
     EXPECT_EQ(rep.final_step, kTarget) << "rank " << r;
     EXPECT_EQ(rep.sdc_restores, 1) << "rank " << r;
-    EXPECT_EQ(rep.recoveries, 0) << "rank " << r;  // no disk rewind
+    EXPECT_EQ(rep.recoveries, rot_holder ? 1 : 0) << "rank " << r;
     EXPECT_EQ(rep.shrinks, 0) << "rank " << r;
   }
 
@@ -268,10 +274,14 @@ void expect_sdc_recovery_bitwise(int pt, int pp, bool overlap, bool rot_own) {
   EXPECT_GE(ev.count(obs::Event::sdc_audit), 3u);
   EXPECT_EQ(ev.count(obs::Event::sdc_detected), 1u);
   EXPECT_GE(ev.count(obs::Event::sdc_mismatch), 1u);
-  EXPECT_EQ(ev.count(obs::Event::sdc_restore), 1u);
+  EXPECT_EQ(ev.count(obs::Event::sdc_restore), rot_holder ? 0u : 1u);
+  EXPECT_EQ(ev.count(obs::Event::recovery_rewind), rot_holder ? 1u : 0u);
   if (rot_own) {
     EXPECT_GE(ev.count(obs::Event::replica_rot_detected), 1u);
-    EXPECT_GE(ev.count(obs::Event::replica_refetched), 1u);
+    if (rot_holder)  // the refetched copy failed validation too
+      EXPECT_EQ(ev.count(obs::Event::replica_refetched), 0u);
+    else
+      EXPECT_GE(ev.count(obs::Event::replica_refetched), 1u);
   }
 }
 
@@ -296,6 +306,11 @@ TEST(SdcRecovery, BitflipRestoredBitwise8RanksOverlapped) {
 
 TEST(SdcRecovery, OwnImageRotRefetchedDuringRestore) {
   expect_sdc_recovery_bitwise(1, 2, /*overlap=*/false, /*rot_own=*/true);
+}
+
+TEST(SdcRecovery, RotOnBothCopiesFallsBackToDiskRung) {
+  expect_sdc_recovery_bitwise(1, 2, /*overlap=*/false, /*rot_own=*/true,
+                              /*rot_holder=*/true);
 }
 
 /// Probe-only mode (checksums off): an exponent-byte flip in ρ sends
@@ -514,6 +529,61 @@ TEST(SdcScrub, UnscrubbedRotFailsRestoreCleanly) {
     }
   }
   EXPECT_GE(obs::EventCounters::global().count(obs::Event::run_failed), 1u);
+}
+
+/// A compound fault the ladder cannot save: rank 1's state flips and its
+/// own buddy image rots at step 8, and rank 2 — the holder of rank 1's
+/// replica — dies at the same step.  The death overrides the SDC
+/// verdict, and the shrink is refused because rank 1's own image fails
+/// validation.  Every survivor must fail with the same leading clause,
+/// naming the cause, the step and the refused rung with its reason.
+TEST(SdcScrub, RefusedShrinkFailsWithOneAgreedClause) {
+  core::SimulationConfig cfg = testsupport::small_trajectory_config();
+  constexpr int kRanks = 4;
+  const std::string dir = fresh_dir("sdc_refused_shrink");
+  obs::EventCounters::global().reset();
+
+  std::vector<RunReport> reports(kRanks);
+  {
+    comm::Runtime rt(kRanks);
+    auto plan = std::make_shared<comm::FaultPlan>();
+    comm::FaultPlan::ComputeFault f;
+    f.field = 5;
+    f.elem = 1234;
+    f.byte = 0;
+    f.mask = 0x01;
+    plan->schedule_bitflip(1, 8, f);
+    plan->schedule_replica_rot(1, 8, comm::FaultPlan::ReplicaTarget::own);
+    plan->schedule_rank_death(2, 8);
+    rt.install_fault_plan(plan);
+    rt.run([&](comm::Communicator& w) {
+      core::DistributedSolver solver(cfg, w, 1, 2);
+      solver.initialize();
+      const double dt = solver.stable_dt();
+      RunPolicy policy;
+      policy.store = {dir, "rs", 2};
+      policy.checkpoint_interval = 5;
+      policy.take_deadline_ms = 3000;
+      policy.sdc.audit_interval = 4;
+      ResilientRunner runner(solver, policy);
+      reports[static_cast<std::size_t>(w.rank())] = runner.run(20, dt);
+    });
+    rt.install_fault_plan(nullptr);
+  }
+
+  EXPECT_NE(reports[2].failure.find("rank death"), std::string::npos)
+      << reports[2].failure;
+  const std::string want =
+      "unrecoverable at step 8: rank loss of world rank 2, ring-replica "
+      "rung refused: own image of world rank 1 missing or invalid";
+  for (const int r : {0, 1, 3}) {
+    const RunReport& rep = reports[static_cast<std::size_t>(r)];
+    EXPECT_FALSE(rep.completed) << "rank " << r;
+    // The agreed clause leads; this rank's own trigger may follow it.
+    EXPECT_EQ(rep.failure.substr(0, rep.failure.find(" [trigger: ")), want)
+        << "rank " << r << ": " << rep.failure;
+  }
+  EXPECT_EQ(obs::EventCounters::global().count(obs::Event::run_failed), 1u);
 }
 
 }  // namespace

@@ -10,6 +10,9 @@
 #    repair from the buddy replicas with no disk rewind, and complete
 #    bitwise equal to the unfaulted trajectory (the serial cross-check
 #    is exactly that assertion).
+#  * compound sweep: a bit flip and a rank death in one run; the
+#    recovery ladder must repair the flip from the buddy images, later
+#    shrink around the death, and still match the serial reference.
 # Runs in a scratch directory so checkpoint sets and trace/metrics
 # artifacts never pollute the repo.
 # Usage: tools/chaos.sh [build-dir]   (default: build)
@@ -84,3 +87,34 @@ if [ "${fail}" -ne 0 ]; then
   exit 1
 fi
 echo "chaos drill passed: every bit flip was detected and repaired"
+echo
+
+# ---- Compound sweep: one run, two fault kinds.  Both --chaos specs hit
+# world rank 1 (the binary's fixed victim), so the flip step must come
+# before the death step: a rank that has already died flips nothing.
+flip=8
+cadence=4
+death=13
+echo "== chaos drill: 8 ranks, bit flip after step ${flip} (audit cadence" \
+     "${cadence}), then rank death after step ${death}/${steps} =="
+rm -rf yy_checkpoints
+if ! out="$("${bin}" 2 2 "${steps}" --chaos "bitflip:${flip}:${cadence}" \
+       --chaos "rank-death:${death}")"; then
+  echo "FAIL  parallel_dynamo exited nonzero (compound drill)" >&2
+  fail=1
+else
+  echo "${out}" |
+    grep -E "run control|rank loss|sdc defense|relative difference" || true
+  echo "${out}" | grep -q "run control: completed" || fail=1
+  echo "${out}" | grep -q "rank loss survived: 1 shrink" || fail=1
+  echo "${out}" | grep -q "sdc defense: bit flip detected and repaired" ||
+    fail=1
+  echo "${out}" | grep -q "(trajectories match)" || fail=1
+fi
+echo
+
+if [ "${fail}" -ne 0 ]; then
+  echo "CHAOS DRILL FAILED: the compound run did not survive both faults" >&2
+  exit 1
+fi
+echo "chaos drill passed: the compound run survived the flip and the death"
