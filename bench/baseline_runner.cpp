@@ -17,12 +17,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "comm/fault.hpp"
 #include "comm/runtime.hpp"
 #include "common/flops.hpp"
 #include "common/simd.hpp"
@@ -86,59 +84,6 @@ bool write_doc(const std::string& path, const std::string& name,
   bench::write_bench_json(f, name, man, metrics);
   std::printf("wrote %s\n", path.c_str());
   return f.good();
-}
-
-/// Total wait seconds per step on a skewed 4-rank run (2×1 per panel so
-/// the θ-halo streams are live; a 3 ms delivery delay on both θ tags
-/// skews every fill), summed over ranks and steps, divided by steps.
-/// With cfg.overlap on, the stage fills post the exchange and sweep the
-/// interior while the delayed envelopes are in flight, so this number
-/// must come out strictly lower than the synchronous run's — the
-/// overlap-efficiency regression gate (DESIGN.md §10).
-double skewed_wait_per_step(bool overlap, int steps) {
-  core::SimulationConfig cfg = bench_config();
-  cfg.overlap = overlap;
-  constexpr int pt = 2, pp = 1;
-  const int world = 2 * pt * pp;
-
-  auto plan = std::make_shared<comm::FaultPlan>();
-  for (int tag : {100, 101}) {
-    comm::FaultPlan::Rule r;
-    r.kind = comm::FaultPlan::Kind::delay;
-    r.tag = tag;
-    r.max_count = 0;  // every θ-strip envelope
-    r.delay_ms = 3;
-    plan->add_rule(r);
-  }
-
-  obs::RunManifest man = obs::RunManifest::current_build();
-  man.app = "baseline_runner";
-  man.mode = overlap ? "skewed_overlap" : "skewed_sync";
-  man.world = world;
-  obs::TelemetrySink sink(man);
-  obs::TraceRecorder rec;
-  comm::Runtime rt(world);
-  rt.install_fault_plan(plan);
-  double wait_total = 0.0;
-  std::mutex mu;
-  rt.run([&](comm::Communicator& w) {
-    core::DistributedSolver solver(cfg, w, pt, pp);
-    solver.initialize();
-    const double dt = solver.stable_dt();
-    obs::ScopedRankBind bind(rec, w.rank());
-    obs::RankTelemetry tel(w, sink, {/*interval=*/steps, /*ring=*/1024,
-                                     /*span_budget=*/0});
-    solver.attach_telemetry(&tel);
-    for (int i = 0; i < steps; ++i) solver.step(dt);
-    tel.flush();
-    double mine = 0.0;
-    for (std::size_t i = 0; i < tel.ring().size(); ++i)
-      mine += tel.ring().from_oldest(i).wait_seconds();
-    std::lock_guard lock(mu);
-    wait_total += mine;
-  });
-  rt.install_fault_plan(nullptr);
-  return wait_total / steps;
 }
 
 /// Relative per-step cost of the SDC audit tier (DESIGN.md §15) on the
@@ -264,22 +209,6 @@ bool run_solver_bench(const std::string& out_dir, int steps) {
   metrics.push_back({"es_pred_over_meas_compute", pred_over_meas_compute,
                      0.75, 0.0, "band"});
 
-  // Overlap-efficiency gate: per-step wait on the skewed run, sync vs
-  // overlapped.  The absolute numbers are dominated by the injected
-  // 3 ms delays (deterministic), so the bands can be moderate; the
-  // ratio is the real gate — its max bound is pinned strictly below
-  // 1.0, so overlapped wait regressing to (or past) the synchronous
-  // level always fails the comparison.
-  const double wait_sync = skewed_wait_per_step(false, steps);
-  const double wait_over = skewed_wait_per_step(true, steps);
-  const double wait_ratio = wait_sync > 0.0 ? wait_over / wait_sync : 1.0;
-  metrics.push_back({"wait_per_step_sync_skewed", wait_sync, 0.80, 0.0,
-                     "band"});
-  metrics.push_back({"wait_per_step_overlap_skewed", wait_over, 0.80, 0.0,
-                     "max"});
-  metrics.push_back({"overlap_wait_ratio", wait_ratio, 0.0,
-                     std::max(0.05, 0.95 - wait_ratio), "max"});
-
   // SDC-audit overhead gate: the tol_abs pins the failure bound at 2%
   // (or recorded + 0.3 points once the recorded value nears the bound),
   // so the audit tier silently growing past its budget always fails.
@@ -290,8 +219,6 @@ bool run_solver_bench(const std::string& out_dir, int steps) {
   std::printf("solver: %.2f steps/s, imbalance %.2f, compute %.0f%%\n",
               steps / loop_wall, imbalance_mean,
               100.0 * (traced > 0.0 ? comp / traced : 0.0));
-  std::printf("skewed wait/step: sync %.1f ms, overlap %.1f ms (ratio %.2f)\n",
-              1e3 * wait_sync, 1e3 * wait_over, wait_ratio);
   std::printf("sdc audit overhead: %.2f%% of step time\n", 100.0 * audit_tax);
   return write_doc(out_dir + "/BENCH_solver.json", "solver", man, metrics);
 }

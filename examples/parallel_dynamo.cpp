@@ -9,10 +9,10 @@
 /// measured List-1-style report cross-checked against the Earth
 /// Simulator performance model's predicted phase split.
 ///
-/// Usage: parallel_dynamo [pt pp steps [mode]] [--heartbeat N] [--overlap]
-///                        [--counters]
+/// Usage: parallel_dynamo [pt pp steps [mode]] [--heartbeat N] [--counters]
 ///                        [--chaos rank-death:<step>|bitflip:<step>[:<cadence>]]
-///        (default 2 x 2, 10 steps)
+///        (default 2 x 2, 10 steps; any other --option prints the usage
+///        line and exits 1)
 ///
 /// mode selects the run-control layer:
 ///   plain      step loop, no checkpointing (default, the seed behaviour)
@@ -26,14 +26,6 @@
 /// prints one rolling "[telemetry]" line per step (per-phase mean/max,
 /// imbalance ratio, straggler rank) and, at exit, writes the full
 /// manifest-stamped time series as telemetry.csv / telemetry.json.
-///
-/// --overlap switches the RK4 stage fills to the overlapped mode
-/// (DESIGN.md §10): halo/overset exchanges are posted, the interior of
-/// the patch is swept while the messages are in flight, and only the
-/// ghost-dependent rim waits.  Bitwise-identical to the synchronous
-/// path (tests/core/test_overlap_equivalence.cpp), so the serial
-/// cross-check below still matches exactly.  Set YY_THREADS to also
-/// thread the interior sweep and stage updates.
 ///
 /// The RHS runs on the configuration's backend — the production
 /// pencil sweep (DESIGN.md §11), its radial inner loops in SIMD packs
@@ -100,9 +92,17 @@
 using namespace yy;
 using yinyang::Panel;
 
+namespace {
+
+constexpr const char* kUsage =
+    "usage: parallel_dynamo [pt pp steps [plain|resilient|faulty]] "
+    "[--heartbeat N] [--counters] "
+    "[--chaos rank-death:<step>|bitflip:<step>[:<cadence>]]\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
   int heartbeat = 0;
-  bool overlap = false;
   bool counters = false;
   long long chaos_death_step = -1;
   long long chaos_flip_step = -1;
@@ -111,8 +111,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--heartbeat") == 0 && i + 1 < argc) {
       heartbeat = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--overlap") == 0) {
-      overlap = true;
     } else if (std::strcmp(argv[i], "--counters") == 0) {
       counters = true;
     } else if (std::strcmp(argv[i], "--chaos") == 0 && i + 1 < argc) {
@@ -140,6 +138,12 @@ int main(int argc, char** argv) {
                      spec, chaos_flip_cadence);
         return 1;
       }
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      const bool known = std::strcmp(argv[i], "--heartbeat") == 0 ||
+                         std::strcmp(argv[i], "--chaos") == 0;
+      std::fprintf(stderr, "%s option '%s'\n%s",
+                   known ? "missing value for" : "unknown", argv[i], kUsage);
+      return 1;
     } else {
       pos.push_back(argv[i]);
     }
@@ -172,7 +176,6 @@ int main(int argc, char** argv) {
   cfg.eq.omega = {0, 0, 10.0};
   cfg.ic.perturb_amp = 1e-2;
   cfg.ic.seed_b_amp = 1e-4;
-  cfg.overlap = overlap;
 
   // What the RHS runs on: the config's backend (the pencil sweep), its
   // lane width and ISA.
@@ -180,10 +183,9 @@ int main(int argc, char** argv) {
 
   const int world = 2 * pt * pp;
   std::printf(
-      "== Distributed yycore: %d ranks = 2 panels x (%d x %d)%s  [rhs: %s, "
+      "== Distributed yycore: %d ranks = 2 panels x (%d x %d)  [rhs: %s, "
       "%d lane%s, %s] ====\n\n",
-      world, pt, pp, overlap ? "  [overlapped]" : "",
-      mhd::backend_name(cfg.rhs_backend), simd_width,
+      world, pt, pp, mhd::backend_name(cfg.rhs_backend), simd_width,
       simd_width == 1 ? "" : "s", simd::compiled_isa());
 
   mhd::EnergyBudget dist_energy;
@@ -217,7 +219,6 @@ int main(int argc, char** argv) {
   }
   man.counter_backend = obs::counter_backend_name(ctr_backend);
   man.extra.emplace_back("steps", std::to_string(steps));
-  man.extra.emplace_back("overlap", overlap ? "1" : "0");
   man.extra.emplace_back("rhs_backend", mhd::backend_name(cfg.rhs_backend));
   man.extra.emplace_back("simd_width", std::to_string(simd_width));
   man.extra.emplace_back("simd_isa", simd::compiled_isa());

@@ -45,7 +45,7 @@ LatLonSolver::LatLonSolver(const LatLonConfig& cfg)
       bc_(cfg.thermal),
       state_(grid_),
       ws_(grid_),
-      rk4_({&grid_}, mhd::RhsBackend::simd),
+      integrator_(mhd::TimeScheme::rk4, {&grid_}, mhd::RhsBackend::simd),
       weights_(interior_weights(grid_)) {}
 
 void LatLonSolver::initialize() {
@@ -136,7 +136,7 @@ void LatLonSolver::fill_ghosts(mhd::Fields& s) {
 
 void LatLonSolver::step(double dt) {
   std::vector<mhd::PatchDef> patches{{&grid_, cfg_.eq, &state_}};
-  rk4_.step(patches, dt, [this](const std::vector<mhd::Fields*>& s) {
+  integrator_.step(patches, dt, [this](const std::vector<mhd::Fields*>& s) {
     fill_ghosts(*s[0]);
   });
   polar_filter(state_);

@@ -23,7 +23,7 @@
 #include "mhd/boundary.hpp"
 #include "mhd/diagnostics.hpp"
 #include "mhd/init.hpp"
-#include "mhd/rk4.hpp"
+#include "mhd/integrator.hpp"
 
 namespace yy::baseline {
 
@@ -74,7 +74,8 @@ class LatLonSolver {
   mhd::RadialBoundary bc_;
   mhd::Fields state_;
   mhd::Workspace ws_;
-  mhd::Rk4 rk4_;  ///< simd backend, as SimulationConfig's default
+  /// rk4 on the simd backend, as SimulationConfig's default.
+  mhd::Integrator integrator_;
   mhd::ColumnWeights weights_;
   double time_ = 0.0;
   double cached_dt_ = 0.0;

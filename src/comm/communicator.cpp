@@ -278,11 +278,6 @@ void Communicator::wait(Request& req, int deadline_ms) const {
   req.fabric_ = nullptr;
 }
 
-void Communicator::wait_all(std::span<Request> reqs) const {
-  for (Request& r : reqs)
-    if (r.valid()) wait(r);
-}
-
 void Communicator::recv(int src, int tag, std::span<double> buf) const {
   Request req = irecv(src, tag, buf);
   wait(req);

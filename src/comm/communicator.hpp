@@ -90,11 +90,6 @@ class Communicator {
   /// Completes a pending receive.
   void wait(Request& req) const;
 
-  /// Completes every still-pending receive in `reqs`, in order.
-  /// Already-completed (or never-posted) requests are skipped, so a
-  /// partially-finished posted-exchange handle can be drained safely.
-  void wait_all(std::span<Request> reqs) const;
-
   /// Collective: all ranks of this communicator rendezvous.
   void barrier() const;
 

@@ -1,6 +1,6 @@
 /// \file pencil.hpp
 /// Compact scratch containers addressed in patch indices: the memory
-/// layer of the pencil RHS sweep and the shrunken per-thread workspaces.
+/// layer of the pencil RHS sweep and the box-sized reference workspaces.
 ///
 /// Two shapes cover every scratch need of the RHS sweep:
 ///  * ScratchField — a box-shaped block with its origin at the box
@@ -8,8 +8,7 @@
 ///    subtracts its origin internally and converts implicitly to the
 ///    FieldView / ConstFieldView the fd operators take.  This is what
 ///    lets mhd::Workspace allocate grown-box extents instead of full
-///    Nr×Nt×Np arrays per thread (the documented ~19×YY_THREADS
-///    multiplier).
+///    Nr×Nt×Np arrays.
 ///  * PlaneRing — a rolling ring of (r, θ) planes over φ, depth = the
 ///    stencil footprint in φ (3 or 5).  The pencil sweep computes plane
 ///    ip+k once, keeps it resident while the φ stencil needs it, and
@@ -20,9 +19,9 @@
 ///
 /// Both containers grow monotonically (`ensure`/`grow_to` reallocate
 /// only when the requested cover exceeds the current one), so steady-
-/// state stepping is allocation-free even when interior and rim boxes
-/// alternate.  Contents are NOT preserved across a growing reallocation
-/// — these are single-sweep scratch, never carried between sweeps.
+/// state stepping is allocation-free even when sweep boxes differ.
+/// Contents are NOT preserved across a growing reallocation — these are
+/// single-sweep scratch, never carried between sweeps.
 #pragma once
 
 #include <algorithm>

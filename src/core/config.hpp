@@ -29,17 +29,10 @@ struct SimulationConfig {
   /// for ablation and order-verification tests.
   mhd::TimeScheme scheme = mhd::TimeScheme::rk4;
 
-  /// Overlapped stepping: the distributed solver hides halo/overset
-  /// exchange latency behind the interior RHS sweep of each RK4 stage
-  /// (bitwise-identical trajectories; see DESIGN.md §10).  Honoured by
-  /// the rk4 scheme; euler/rk2 fall back to synchronous fills.
-  bool overlap = false;
-
   /// RHS backend: the production pencil/lane sweep (simd; lane width
   /// from the build's ISA, YY_SIMD=scalar|1|2|4|8 overrides it) or the
   /// operator-at-a-time reference chain, kept as the test oracle.  The
-  /// two give bitwise-identical trajectories (DESIGN.md §11) and compose
-  /// with `overlap`.
+  /// two give bitwise-identical trajectories (DESIGN.md §11).
   mhd::RhsBackend rhs_backend = mhd::RhsBackend::simd;
 };
 

@@ -91,63 +91,6 @@ void DistributedSolver::fill_ghosts(mhd::Fields& s) {
   bc_.fill_ghosts(*grid_, s);
 }
 
-void DistributedSolver::cancel_exchanges() noexcept {
-  halo_->cancel(halo_posted_);
-  overset_->cancel(overset_posted_);
-}
-
-void DistributedSolver::post_exchanges(mhd::Fields& s) {
-  const int gh = grid_->ghost();
-  {
-    YY_TRACE_SCOPE(obs::Phase::boundary);
-    bc_.enforce_walls(*grid_, s);
-    // Radial prefill of the owned columns: per-column local, so it can
-    // run before the horizontal exchanges — and must, so the interior
-    // RHS sees valid radial ghosts while the messages are in flight.
-    bc_.fill_ghosts(*grid_, s, gh, gh + grid_->spec().nt, gh,
-                    gh + grid_->spec().np);
-  }
-  YY_TRACE_SCOPE(obs::Phase::halo_overlap);
-  try {
-    halo_posted_ = halo_->post(s);
-    overset_posted_ = overset_->post();
-  } catch (...) {
-    // A partial post (e.g. overset_->post() after a successful halo
-    // post) must not leave the other exchanger wedged in flight.
-    cancel_exchanges();
-    throw;
-  }
-}
-
-void DistributedSolver::finish_exchanges(mhd::Fields& s) {
-  try {
-    {
-      YY_TRACE_SCOPE_V(span, obs::Phase::halo_wait);
-      span.add_bytes(halo_->finish(s, halo_posted_));
-    }
-    {
-      YY_TRACE_SCOPE_V(span, obs::Phase::overset_wait);
-      span.add_bytes(overset_->finish(s, overset_posted_));
-    }
-  } catch (...) {
-    // A faulted wait (comm timeout/corruption) unwinds the throwing
-    // exchanger itself, but the *other* one may still be in flight —
-    // cancel it so post-recovery steps can post afresh.
-    cancel_exchanges();
-    throw;
-  }
-  // Radial fill of the freshly received ghost frame; with the owned
-  // prefill in post_exchanges this covers exactly one full fill_ghosts.
-  YY_TRACE_SCOPE(obs::Phase::boundary);
-  const int gh = grid_->ghost();
-  const int nt = grid_->spec().nt;
-  const int np = grid_->spec().np;
-  bc_.fill_ghosts(*grid_, s, 0, gh, 0, grid_->Np());
-  bc_.fill_ghosts(*grid_, s, gh + nt, grid_->Nt(), 0, grid_->Np());
-  bc_.fill_ghosts(*grid_, s, gh, gh + nt, 0, gh);
-  bc_.fill_ghosts(*grid_, s, gh, gh + nt, gh + np, grid_->Np());
-}
-
 void DistributedSolver::restore_state(const mhd::Fields& s, double time,
                                       long long step) {
   state_->copy_from(s);  // shape-checked inside
@@ -172,27 +115,7 @@ void DistributedSolver::step(double dt) {
   const auto fill = [this](const std::vector<mhd::Fields*>& s) {
     fill_ghosts(*s[0]);
   };
-  if (cfg_.overlap) {
-    mhd::OverlapHooks hooks;
-    hooks.post = [this](const std::vector<mhd::Fields*>& s) {
-      post_exchanges(*s[0]);
-    };
-    hooks.finish = [this](const std::vector<mhd::Fields*>& s) {
-      finish_exchanges(*s[0]);
-    };
-    hooks.rim_width = grid_->ghost();
-    try {
-      integrator_->step(patches, dt, fill, &hooks);
-    } catch (...) {
-      // The hooks unwind their own failures; this catches a throw from
-      // the compute between post and finish, where both exchanges are
-      // legitimately in flight with no finish() left to clean them up.
-      cancel_exchanges();
-      throw;
-    }
-  } else {
-    integrator_->step(patches, dt, fill);
-  }
+  integrator_->step(patches, dt, fill);
   time_ += dt;
   ++steps_;
   if (telemetry_ != nullptr) telemetry_->end_step();
@@ -297,7 +220,6 @@ void DistributedSolver::rebuild(const comm::Communicator& new_world,
   YY_REQUIRE(static_cast<int>(survivors.size()) == new_world.size());
   const int old_world_size = runner_->world().size();
   YY_REQUIRE(static_cast<int>(src.holder_of.size()) == old_world_size);
-  cancel_exchanges();
 
   // ---- capture the old layout before any member is replaced.
   const PanelLayout old_yin = runner_->layout(Panel::yin);
@@ -343,8 +265,6 @@ void DistributedSolver::rebuild(const comm::Communicator& new_world,
   weights_ = std::make_unique<mhd::ColumnWeights>(
       ownership_weights(geom_, *grid_, extent_.t0, extent_.p0));
   eq_ = panel == Panel::yin ? cfg_.eq : cfg_.eq.for_partner_panel();
-  halo_posted_ = HaloExchanger::Posted{};
-  overset_posted_ = OversetExchanger::Posted{};
   telemetry_ = nullptr;  // its aggregation window was over the old world
 
   // ---- deterministic redistribution plan, identical on every rank:

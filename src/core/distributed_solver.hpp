@@ -114,24 +114,6 @@ class DistributedSolver {
   /// (collective: every rank must call it together).
   void fill_ghosts(mhd::Fields& s);
 
-  /// Split fill for the overlapped stepping mode (cfg.overlap).
-  /// post_exchanges: walls + radial prefill of the owned columns (the
-  /// interior RHS may then run on owned data), then all halo/overset
-  /// receives posted and the θ strips sent.  finish_exchanges:
-  /// completes halo then overset, then radial-fills the horizontal
-  /// ghost frame.  post immediately followed by finish ≡ fill_ghosts
-  /// (the radial reflection is per-column local, and the ghost-column
-  /// radial values carried by the messages are always overwritten by
-  /// the frame fill — so trajectories are bitwise mode-independent).
-  /// Both calls unwind to a clean exchanger state on error (a faulted
-  /// fabric surfaces timeouts from the waits): whichever exchange is
-  /// still in flight is cancelled before the exception escapes, so the
-  /// recovery path can rewind and re-enter stepping on the same solver
-  /// without tripping the exchangers' one-in-flight guards.  Abandoned
-  /// envelopes are purged by the recovery rendezvous.
-  void post_exchanges(mhd::Fields& s);
-  void finish_exchanges(mhd::Fields& s);
-
   /// Attaches (nullptr detaches) this rank's telemetry front end; every
   /// step is then bracketed with begin_step/end_step, which folds the
   /// step's spans into the per-step time series and joins the
@@ -140,8 +122,6 @@ class DistributedSolver {
   void attach_telemetry(obs::RankTelemetry* t) { telemetry_ = t; }
 
  private:
-  void cancel_exchanges() noexcept;
-
   /// Decomposition of either panel (mine or the partner's).
   const PanelDecomposition& decomp_of(yinyang::Panel p) const {
     return p == runner_->panel() ? decomp_ : partner_decomp_;
@@ -163,8 +143,6 @@ class DistributedSolver {
   std::unique_ptr<mhd::Workspace> ws_;
   std::unique_ptr<mhd::Integrator> integrator_;
   std::unique_ptr<mhd::ColumnWeights> weights_;
-  HaloExchanger::Posted halo_posted_;
-  OversetExchanger::Posted overset_posted_;
   double time_ = 0.0;
   long long steps_ = 0;
   obs::RankTelemetry* telemetry_ = nullptr;

@@ -74,10 +74,8 @@ std::size_t HaloExchanger::unpack(mhd::Fields& s,
   return k;
 }
 
-HaloExchanger::Posted HaloExchanger::post(mhd::Fields& s) const {
-  YY_REQUIRE(!in_flight_);  // single-buffered: one exchange in flight max
-  in_flight_ = true;
-
+void HaloExchanger::exchange(mhd::Fields& s) const {
+  YY_TRACE_SCOPE_V(span, obs::Phase::halo_wait);
   const SphericalGrid& g = *grid_;
   const int gh = g.ghost();
   const comm::Communicator& c = cart_->comm();
@@ -86,16 +84,18 @@ HaloExchanger::Posted HaloExchanger::post(mhd::Fields& s) const {
   const std::size_t nt = theta_count();
   const std::size_t np = phi_count();
 
-  Posted po;
-  po.active = true;
   // Pre-post every receive before any send (the paper's irecv-then-send
   // idiom).  proc_null sides yield immediately-complete requests.
-  po.rt_low = c.irecv(t_low, tag_theta_to_high, {recv_t_low_.data(), nt});
-  po.rt_high = c.irecv(t_high, tag_theta_to_low, {recv_t_high_.data(), nt});
-  po.rp_low = c.irecv(p_low, tag_phi_to_high, {recv_p_low_.data(), np});
-  po.rp_high = c.irecv(p_high, tag_phi_to_low, {recv_p_high_.data(), np});
+  comm::Request rt_low =
+      c.irecv(t_low, tag_theta_to_high, {recv_t_low_.data(), nt});
+  comm::Request rt_high =
+      c.irecv(t_high, tag_theta_to_low, {recv_t_high_.data(), nt});
+  comm::Request rp_low =
+      c.irecv(p_low, tag_phi_to_high, {recv_p_low_.data(), np});
+  comm::Request rp_high =
+      c.irecv(p_high, tag_phi_to_low, {recv_p_high_.data(), np});
 
-  // θ strips depend only on owned interior data — send them now.
+  // θ phase: strips of owned interior rows out, ghost rows in.
   const int t_lo_int = gh;
   const int t_hi_int = gh + g.spec().nt - gh;
   if (t_low != comm::proc_null) {
@@ -108,36 +108,8 @@ HaloExchanger::Posted HaloExchanger::post(mhd::Fields& s) const {
     YY_ASSERT(k == nt);
     c.send(t_high, tag_theta_to_high, {send_t_high_.data(), nt});
   }
-  return po;
-}
-
-std::uint64_t HaloExchanger::finish(mhd::Fields& s, Posted& p) const {
-  YY_REQUIRE(p.active && in_flight_);
-  // A faulted fabric surfaces timeouts from wait(); the recovery path
-  // (recovery_rendezvous) purges all in-flight traffic, so the next
-  // exchange must start from a clean slate — drop the in-flight state
-  // before letting the error unwind.
-  try {
-    return finish_impl(s, p);
-  } catch (...) {
-    p.active = false;
-    in_flight_ = false;
-    throw;
-  }
-}
-
-std::uint64_t HaloExchanger::finish_impl(mhd::Fields& s, Posted& p) const {
-  const SphericalGrid& g = *grid_;
-  const int gh = g.ghost();
-  const comm::Communicator& c = cart_->comm();
-  const auto [t_low, t_high] = cart_->shift(0, 1);
-  const auto [p_low, p_high] = cart_->shift(1, 1);
-  const std::size_t nt = theta_count();
-  const std::size_t np = phi_count();
-
-  // θ phase: land the ghost rows.
-  c.wait(p.rt_low);
-  c.wait(p.rt_high);
+  c.wait(rt_low);
+  c.wait(rt_high);
   if (t_low != comm::proc_null) unpack(s, recv_t_low_, 0, gh, 0, g.Np());
   if (t_high != comm::proc_null)
     unpack(s, recv_t_high_, gh + g.spec().nt, gh + g.spec().nt + gh, 0, g.Np());
@@ -156,33 +128,13 @@ std::uint64_t HaloExchanger::finish_impl(mhd::Fields& s, Posted& p) const {
     YY_ASSERT(k == np);
     c.send(p_high, tag_phi_to_high, {send_p_high_.data(), np});
   }
-  c.wait(p.rp_low);
-  c.wait(p.rp_high);
+  c.wait(rp_low);
+  c.wait(rp_high);
   if (p_low != comm::proc_null) unpack(s, recv_p_low_, 0, g.Nt(), 0, gh);
   if (p_high != comm::proc_null)
     unpack(s, recv_p_high_, 0, g.Nt(), gh + g.spec().np, gh + g.spec().np + gh);
 
-  p.active = false;
-  in_flight_ = false;
-
-  std::uint64_t bytes = 0;
-  if (t_low != comm::proc_null) bytes += 2 * nt * sizeof(double);
-  if (t_high != comm::proc_null) bytes += 2 * nt * sizeof(double);
-  if (p_low != comm::proc_null) bytes += 2 * np * sizeof(double);
-  if (p_high != comm::proc_null) bytes += 2 * np * sizeof(double);
-  return bytes;
-}
-
-void HaloExchanger::cancel(Posted& p) const noexcept {
-  if (!p.active) return;
-  p = Posted{};  // requests are lazy matchers: dropping them abandons them
-  in_flight_ = false;
-}
-
-void HaloExchanger::exchange(mhd::Fields& s) const {
-  YY_TRACE_SCOPE_V(span, obs::Phase::halo_wait);
-  Posted p = post(s);
-  span.add_bytes(finish(s, p));
+  span.add_bytes(bytes_per_exchange());
 }
 
 std::uint64_t HaloExchanger::bytes_per_exchange() const {

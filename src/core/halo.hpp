@@ -7,19 +7,6 @@
 /// the *full* (ghost-inclusive) θ range — so the diagonal ghost
 /// corners needed by the composite second-derivative stencils arrive
 /// without explicit corner messages.
-///
-/// Two entry points drive the same wire protocol:
-///  * exchange(): the synchronous seed path — post, then finish, in
-///    one call under a `halo_wait` span.
-///  * post()/finish(): the overlapped path.  post() pre-posts all four
-///    receives and launches the θ-strip sends (they depend only on
-///    owned interior data); finish() completes θ, then packs and sends
-///    the φ strips (they span the ghost-inclusive θ range, so they
-///    must wait for the θ ghosts to land) and completes them.  Between
-///    the two calls the caller may compute on any data the exchange
-///    does not write — the interior sweep of the overlapped stepping
-///    mode.  The wire messages are identical to exchange(), so the
-///    resulting ghosts are bitwise the same.
 #pragma once
 
 #include <cstdint>
@@ -36,46 +23,19 @@ class HaloExchanger {
  public:
   HaloExchanger(const SphericalGrid& local, const comm::CartComm& cart);
 
-  /// In-flight state of one posted exchange.  Obtained from post(),
-  /// consumed exactly once by finish().
-  struct Posted {
-    comm::Request rt_low, rt_high;  ///< θ-strip receives
-    comm::Request rp_low, rp_high;  ///< φ-strip receives (pre-posted)
-    bool active = false;
-  };
-
   /// Refreshes the θ/φ ghost layers of `s` shared with cart neighbours;
   /// panel-boundary ghosts (proc_null sides) are left for the overset.
-  /// Records one `halo_wait` trace span carrying the bytes moved.
+  /// Records one `halo_wait` trace span carrying the bytes moved.  A
+  /// fault (timeout/corruption) unwinds out of a wait and leaves
+  /// nothing in flight: receives are lazy matchers, and the recovery
+  /// rendezvous purges any envelope already sent.
   void exchange(mhd::Fields& s) const;
-
-  /// Posts all four receives and sends the θ strips.  At most one
-  /// exchange may be in flight per exchanger (the internal buffers are
-  /// single-buffered); a second post() before finish() throws.
-  Posted post(mhd::Fields& s) const;
-
-  /// Completes a posted exchange: θ wait/unpack, φ pack/send/wait/
-  /// unpack.  Returns the bytes moved (send + recv over live sides).
-  /// Records no trace span — the caller owns phase attribution.
-  std::uint64_t finish(mhd::Fields& s, Posted& p) const;
-
-  /// Abandons a posted exchange without completing it: invalidates the
-  /// handles in `p` and clears the in-flight guard so a later post() is
-  /// legal again.  Receives in this runtime are lazy matchers (nothing
-  /// is registered with the fabric until wait), so dropping the handles
-  /// is enough — but any envelopes already sent to or by this rank stay
-  /// queued, and the caller must purge them (recovery_rendezvous, as
-  /// the resilient recovery path does) before the next exchange, or
-  /// stale messages would satisfy its receives.  No-op when `p` was
-  /// never posted or has already finished.
-  void cancel(Posted& p) const noexcept;
 
   /// Bytes moved per exchange by this rank (both directions, all
   /// fields); feeds the perf model's communication volumes.
   std::uint64_t bytes_per_exchange() const;
 
  private:
-  std::uint64_t finish_impl(mhd::Fields& s, Posted& p) const;
   std::size_t theta_count() const;  ///< doubles per θ strip
   std::size_t phi_count() const;    ///< doubles per φ strip
   std::size_t pack(const mhd::Fields& s, std::vector<double>& buf, int it0,
@@ -85,10 +45,8 @@ class HaloExchanger {
 
   const SphericalGrid* grid_;
   const comm::CartComm* cart_;
-  mutable bool in_flight_ = false;
-  // Single-buffered per direction and dimension: sends are buffered by
-  // the fabric at send() time, but receive buffers stay pinned until
-  // the matching wait — hence the one-in-flight rule above.
+  // One buffer per direction and dimension, reused by every exchange:
+  // sends are buffered by the fabric at send() time.
   mutable std::vector<double> send_t_low_, send_t_high_;
   mutable std::vector<double> recv_t_low_, recv_t_high_;
   mutable std::vector<double> send_p_low_, send_p_high_;

@@ -86,54 +86,22 @@ OversetExchanger::OversetExchanger(const yinyang::OversetInterpolator& interp,
 
 void OversetExchanger::exchange(mhd::Fields& s) const {
   YY_TRACE_SCOPE_V(span, obs::Phase::overset_wait);
-  Posted p = post();
-  span.add_bytes(finish(s, p));
-}
-
-OversetExchanger::Posted OversetExchanger::post() const {
-  YY_REQUIRE(!in_flight_);  // single-buffered: one exchange in flight max
-  in_flight_ = true;
-  const comm::Communicator& world = runner_->world();
-
-  // Post all receives first (MPI_IRECV), then interpolate-and-send
-  // (in finish()).
-  Posted p;
-  p.active = true;
-  p.reqs.reserve(recv_plan_.size());
-  std::size_t b = 0;
-  for (const auto& [rank, items] : recv_plan_) {
-    p.reqs.push_back(world.irecv(
-        rank, tag_overset,
-        {recv_bufs_[b].data(),
-         items.size() * static_cast<std::size_t>(nr_) * kFieldsPerColumn}));
-    ++b;
-  }
-  return p;
-}
-
-std::uint64_t OversetExchanger::finish(mhd::Fields& s, Posted& p) const {
-  YY_REQUIRE(p.active && in_flight_);
-  // Faulted fabrics surface timeouts from wait(); recovery purges all
-  // in-flight traffic, so drop the in-flight state before unwinding.
-  try {
-    return finish_impl(s, p);
-  } catch (...) {
-    p.active = false;
-    in_flight_ = false;
-    throw;
-  }
-}
-
-void OversetExchanger::cancel(Posted& p) const noexcept {
-  if (!p.active) return;
-  p = Posted{};  // requests are lazy matchers: dropping them abandons them
-  in_flight_ = false;
-}
-
-std::uint64_t OversetExchanger::finish_impl(mhd::Fields& s, Posted& p) const {
   const comm::Communicator& world = runner_->world();
   const int gh = grid_->ghost();
-  std::vector<comm::Request>& reqs = p.reqs;
+
+  // Post all receives first (MPI_IRECV), then interpolate-and-send.
+  std::vector<comm::Request> reqs;
+  reqs.reserve(recv_plan_.size());
+  {
+    std::size_t b = 0;
+    for (const auto& [rank, items] : recv_plan_) {
+      reqs.push_back(world.irecv(
+          rank, tag_overset,
+          {recv_bufs_[b].data(),
+           items.size() * static_cast<std::size_t>(nr_) * kFieldsPerColumn}));
+      ++b;
+    }
+  }
 
   // Donor-side interpolation: per entry, per field, one radial line.
   // Vector fields (f, A) are rotated into the receiver frame here, so
@@ -202,9 +170,7 @@ std::uint64_t OversetExchanger::finish_impl(mhd::Fields& s, Posted& p) const {
     }
   }
 
-  p.active = false;
-  in_flight_ = false;
-  return bytes_sent_per_exchange();
+  span.add_bytes(bytes_sent_per_exchange());
 }
 
 std::uint64_t OversetExchanger::bytes_sent_per_exchange() const {

@@ -41,35 +41,13 @@ class OversetExchanger {
                    const Runner& runner, const SphericalGrid& local,
                    const PatchExtent& extent);
 
-  /// In-flight state of one posted exchange: the pre-posted receives,
-  /// in plan order.  Obtained from post(), consumed once by finish().
-  struct Posted {
-    std::vector<comm::Request> reqs;
-    bool active = false;
-  };
-
   /// Donates from `s` (this rank's interior + halo) and fills the
   /// panel-boundary ghost columns of `s` from the partner panel.
-  /// `s` must have fresh wall values and halos.
+  /// `s` must have fresh wall values and halos (the 2×2 stencil's +1
+  /// rows may live in the halo).  Records one `overset_wait` trace span
+  /// carrying the bytes sent.  A fault unwinds out of a wait and leaves
+  /// nothing in flight (see HaloExchanger::exchange).
   void exchange(mhd::Fields& s) const;
-
-  /// Posts the receives only (MPI_IRECV side).  Safe to call before the
-  /// halo exchange completes — donation happens in finish(), which must
-  /// run *after* the donor's halos are fresh (the 2×2 stencil's +1 rows
-  /// may live in the halo).  One exchange in flight per exchanger.
-  Posted post() const;
-
-  /// Interpolates + sends to every partner, then completes the receives
-  /// and scatters into the ghost columns.  Returns bytes sent.  Records
-  /// no trace span — the caller owns phase attribution.
-  std::uint64_t finish(mhd::Fields& s, Posted& p) const;
-
-  /// Abandons a posted exchange without completing it (see
-  /// HaloExchanger::cancel for the contract): drops the receive handles
-  /// and clears the in-flight guard; undelivered envelopes must be
-  /// purged by the caller's recovery path.  No-op when `p` was never
-  /// posted or has already finished.
-  void cancel(Posted& p) const noexcept;
 
   /// Bytes this rank sends per exchange (perf-model input).
   std::uint64_t bytes_sent_per_exchange() const;
@@ -79,8 +57,6 @@ class OversetExchanger {
   int recv_partner_count() const { return static_cast<int>(recv_plan_.size()); }
 
  private:
-  std::uint64_t finish_impl(mhd::Fields& s, Posted& p) const;
-
   struct SendItem {
     yinyang::StencilEntry entry;  // donor indices rebased to local patch
   };
@@ -91,7 +67,6 @@ class OversetExchanger {
   const SphericalGrid* grid_;
   const Runner* runner_;
   int nr_;
-  mutable bool in_flight_ = false;
   // Keyed by *world* rank of the partner; std::map keeps deterministic
   // iteration order on both sides.
   std::map<int, std::vector<SendItem>> send_plan_;

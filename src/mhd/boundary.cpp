@@ -4,12 +4,11 @@ namespace yy::mhd {
 
 void RadialBoundary::apply_wall(const SphericalGrid& g, Fields& s,
                                 int wall_index, int ghost_direction,
-                                double t_bc, int it0, int it1, int ip0,
-                                int ip1) const {
+                                double t_bc) const {
   const int iw = wall_index;
   const int dir = ghost_direction;  // −1: ghosts below the wall, +1: above
-  for (int ip = ip0; ip < ip1; ++ip) {
-    for (int it = it0; it < it1; ++it) {
+  for (int ip = 0; ip < g.Np(); ++ip) {
+    for (int it = 0; it < g.Nt(); ++it) {
       // Wall node: rigid no-slip, fixed temperature, clamped potential.
       s.fr(iw, it, ip) = 0.0;
       s.ft(iw, it, ip) = 0.0;
@@ -58,15 +57,10 @@ void RadialBoundary::enforce_walls(const SphericalGrid& g, Fields& s) const {
 }
 
 void RadialBoundary::fill_ghosts(const SphericalGrid& g, Fields& s) const {
-  fill_ghosts(g, s, 0, g.Nt(), 0, g.Np());
-}
-
-void RadialBoundary::fill_ghosts(const SphericalGrid& g, Fields& s, int it0,
-                                 int it1, int ip0, int ip1) const {
   const int gi = g.ghost();
   const int go = g.ghost() + g.spec().nr - 1;
-  if (inner_) apply_wall(g, s, gi, -1, thermal_.t_inner, it0, it1, ip0, ip1);
-  if (outer_) apply_wall(g, s, go, +1, thermal_.t_outer, it0, it1, ip0, ip1);
+  if (inner_) apply_wall(g, s, gi, -1, thermal_.t_inner);
+  if (outer_) apply_wall(g, s, go, +1, thermal_.t_outer);
 }
 
 }  // namespace yy::mhd

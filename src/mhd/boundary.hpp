@@ -38,14 +38,6 @@ class RadialBoundary {
   /// Fills the radial ghost layers on both walls.
   void fill_ghosts(const SphericalGrid& g, Fields& s) const;
 
-  /// Ranged variant restricted to columns it ∈ [it0,it1), ip ∈ [ip0,ip1)
-  /// (ghost-inclusive indices).  The reflection is purely per-column, so
-  /// the overlapped stepping mode prefills the owned columns before the
-  /// horizontal exchanges and fills the ghost-column frame after them —
-  /// the union is exactly one full-range fill_ghosts.
-  void fill_ghosts(const SphericalGrid& g, Fields& s, int it0, int it1,
-                   int ip0, int ip1) const;
-
   /// Both of the above in the required order.
   void apply(const SphericalGrid& g, Fields& s) const {
     enforce_walls(g, s);
@@ -54,8 +46,7 @@ class RadialBoundary {
 
  private:
   void apply_wall(const SphericalGrid& g, Fields& s, int wall_index,
-                  int ghost_direction, double t_bc, int it0, int it1,
-                  int ip0, int ip1) const;
+                  int ghost_direction, double t_bc) const;
 
   ThermalBc thermal_;
   bool inner_, outer_;

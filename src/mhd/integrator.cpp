@@ -10,13 +10,12 @@ Integrator::Integrator(TimeScheme scheme,
                        RhsBackend backend)
     : scheme_(scheme), backend_(backend), grids_(grids) {
   YY_REQUIRE(!grids.empty());
-  if (scheme == TimeScheme::rk4) {
-    rk4_ = std::make_unique<Rk4>(grids, backend);
-    return;
-  }
   for (const SphericalGrid* g : grids_) {
     k_.emplace_back(*g);
-    if (scheme == TimeScheme::rk2) stage_.emplace_back(*g);
+    if (scheme != TimeScheme::euler) stage_.emplace_back(*g);
+    if (scheme == TimeScheme::rk4) acc_.emplace_back(*g);
+    // Pre-grow the reference workspaces to the full patch; the pencil
+    // rings of the simd backend size themselves on first sweep.
     if (backend_ == RhsBackend::reference) ws_.emplace_back(*g);
   }
   if (backend_ == RhsBackend::simd) pw_.resize(grids_.size());
@@ -33,7 +32,10 @@ void Integrator::eval_rhs(std::size_t i, const EquationParams& eq,
 }
 
 void Integrator::step(const std::vector<PatchDef>& patches, double dt,
-                      const FillFn& fill, const OverlapHooks* overlap) {
+                      const FillFn& fill) {
+  YY_REQUIRE(patches.size() == grids_.size());
+  for (std::size_t i = 0; i < patches.size(); ++i)
+    YY_REQUIRE(patches[i].grid == grids_[i]);
   switch (scheme_) {
     case TimeScheme::euler:
       step_euler(patches, dt, fill);
@@ -42,7 +44,7 @@ void Integrator::step(const std::vector<PatchDef>& patches, double dt,
       step_rk2(patches, dt, fill);
       return;
     case TimeScheme::rk4:
-      rk4_->step(patches, dt, fill, overlap);
+      step_rk4(patches, dt, fill);
       return;
   }
 }
@@ -50,7 +52,6 @@ void Integrator::step(const std::vector<PatchDef>& patches, double dt,
 void Integrator::step_euler(const std::vector<PatchDef>& patches, double dt,
                             const FillFn& fill) {
   const std::size_t n = patches.size();
-  YY_REQUIRE(n == grids_.size());
   std::vector<Fields*> state_ptrs(n);
   for (std::size_t i = 0; i < n; ++i) {
     YY_TRACE_SCOPE(obs::Phase::rhs);
@@ -67,7 +68,6 @@ void Integrator::step_euler(const std::vector<PatchDef>& patches, double dt,
 void Integrator::step_rk2(const std::vector<PatchDef>& patches, double dt,
                           const FillFn& fill) {
   const std::size_t n = patches.size();
-  YY_REQUIRE(n == grids_.size());
   std::vector<Fields*> stage_ptrs(n), state_ptrs(n);
   for (std::size_t i = 0; i < n; ++i) {
     stage_ptrs[i] = &stage_[i];
@@ -90,6 +90,69 @@ void Integrator::step_rk2(const std::vector<PatchDef>& patches, double dt,
   {
     YY_TRACE_SCOPE(obs::Phase::rk4_stage);
     for (std::size_t i = 0; i < n; ++i) patches[i].state->axpy(dt, k_[i]);
+  }
+  fill(state_ptrs);
+}
+
+void Integrator::step_rk4(const std::vector<PatchDef>& patches, double dt,
+                          const FillFn& fill) {
+  const std::size_t n = patches.size();
+  std::vector<Fields*> stage_ptrs(n), state_ptrs(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    stage_ptrs[i] = &stage_[i];
+    state_ptrs[i] = patches[i].state;
+  }
+
+  // k_[i] = f(src[i]) over every patch's interior.
+  const auto rhs_all = [&](const std::vector<Fields*>& src) {
+    for (std::size_t i = 0; i < n; ++i) {
+      YY_TRACE_SCOPE(obs::Phase::rhs);
+      eval_rhs(i, patches[i].eq, *src[i]);
+    }
+  };
+
+  // Stage 1: k1 = f(y) (the incoming ghosts are valid).
+  rhs_all(state_ptrs);
+  {
+    YY_TRACE_SCOPE(obs::Phase::rk4_stage);
+    for (std::size_t i = 0; i < n; ++i) {
+      acc_[i].copy_from(*patches[i].state);
+      acc_[i].axpy(dt / 6.0, k_[i]);
+      stage_[i].assign_axpy(*patches[i].state, dt / 2.0, k_[i]);
+    }
+  }
+
+  // Stage 2: k2 = f(y + dt/2 k1).
+  fill(stage_ptrs);
+  rhs_all(stage_ptrs);
+  {
+    YY_TRACE_SCOPE(obs::Phase::rk4_stage);
+    for (std::size_t i = 0; i < n; ++i) {
+      acc_[i].axpy(dt / 3.0, k_[i]);
+      stage_[i].assign_axpy(*patches[i].state, dt / 2.0, k_[i]);
+    }
+  }
+
+  // Stage 3: k3 = f(y + dt/2 k2).
+  fill(stage_ptrs);
+  rhs_all(stage_ptrs);
+  {
+    YY_TRACE_SCOPE(obs::Phase::rk4_stage);
+    for (std::size_t i = 0; i < n; ++i) {
+      acc_[i].axpy(dt / 3.0, k_[i]);
+      stage_[i].assign_axpy(*patches[i].state, dt, k_[i]);
+    }
+  }
+
+  // Stage 4: k4 = f(y + dt k3); y ← acc + dt/6 k4.
+  fill(stage_ptrs);
+  rhs_all(stage_ptrs);
+  {
+    YY_TRACE_SCOPE(obs::Phase::rk4_stage);
+    for (std::size_t i = 0; i < n; ++i) {
+      patches[i].state->copy_from(acc_[i]);
+      patches[i].state->axpy(dt / 6.0, k_[i]);
+    }
   }
   fill(state_ptrs);
 }

@@ -1,22 +1,35 @@
 /// \file integrator.hpp
-/// Explicit time integrators for the MHD system.  The paper uses the
-/// classical fourth-order Runge-Kutta method (§III); forward Euler and
-/// the midpoint (RK2) scheme are provided for ablation and for the
+/// Explicit time integrators for the MHD system over a *system* of grid
+/// patches advanced in lockstep.  The paper uses the classical
+/// fourth-order Runge-Kutta method (§III); forward Euler and the
+/// midpoint (RK2) scheme are provided for ablation and for the
 /// temporal-convergence tests that pin each scheme's order.
 ///
-/// Shares the PatchDef / fill-callback contract of rk4.hpp: after every
-/// stage the caller re-establishes ghost data on the stage states.
+/// A "patch" is one Fields object on one SphericalGrid with its own
+/// EquationParams (Yin and Yang differ only in the rotation-axis
+/// components).  The serial solver passes the two whole panels; the
+/// distributed solver passes this rank's single local patch.  After
+/// every stage the caller-supplied fill callback re-establishes all
+/// ghost data (physical walls, halo exchange, overset interpolation) on
+/// the stage states — the overset coupling is what forces the panels to
+/// advance together.
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "grid/spherical_grid.hpp"
+#include "mhd/params.hpp"
 #include "mhd/rhs.hpp"
-#include "mhd/rk4.hpp"
+#include "mhd/state.hpp"
 
 namespace yy::mhd {
+
+struct PatchDef {
+  const SphericalGrid* grid = nullptr;
+  EquationParams eq;
+  Fields* state = nullptr;
+};
 
 enum class TimeScheme {
   euler,  ///< forward Euler (1st order)
@@ -45,25 +58,32 @@ constexpr const char* scheme_name(TimeScheme s) {
 
 class Integrator {
  public:
-  using FillFn = Rk4::FillFn;
+  /// Called with the stage states (one per patch, same order as the
+  /// PatchDefs) whenever their ghosts must be refreshed.
+  using FillFn = std::function<void(const std::vector<Fields*>&)>;
 
+  /// Allocates stage storage for the given patch shapes; `backend`
+  /// selects the RHS evaluation strategy (bitwise-equivalent paths,
+  /// see rhs.hpp).  There is no default: SimulationConfig::rhs_backend
+  /// is the one place the solvers' default is decided.
   Integrator(TimeScheme scheme, const std::vector<const SphericalGrid*>& grids,
              RhsBackend backend);
 
   TimeScheme scheme() const { return scheme_; }
   RhsBackend backend() const { return backend_; }
 
-  /// Advances every patch by dt (see Rk4::step for the contract).
-  /// `overlap` (optional) enables the overlapped stage fills; it is
-  /// honoured by the rk4 scheme only — euler/rk2 fall back to the
-  /// synchronous fill, which the hooks contract guarantees equivalent.
+  /// Advances every patch by dt.  The incoming states must already
+  /// have valid ghosts; on return the new states have valid ghosts
+  /// (fill is invoked on them last).
   void step(const std::vector<PatchDef>& patches, double dt,
-            const FillFn& fill, const OverlapHooks* overlap = nullptr);
+            const FillFn& fill);
 
  private:
   void step_euler(const std::vector<PatchDef>& patches, double dt,
                   const FillFn& fill);
   void step_rk2(const std::vector<PatchDef>& patches, double dt,
+                const FillFn& fill);
+  void step_rk4(const std::vector<PatchDef>& patches, double dt,
                 const FillFn& fill);
 
   /// k_[i] = f(src) over patch i's interior via the selected backend.
@@ -72,10 +92,11 @@ class Integrator {
   TimeScheme scheme_;
   RhsBackend backend_;
   std::vector<const SphericalGrid*> grids_;
-  std::vector<Fields> k_, stage_;
+  std::vector<Fields> k_;      // stage derivative
+  std::vector<Fields> stage_;  // stage state (rk2, rk4)
+  std::vector<Fields> acc_;    // accumulated solution (rk4)
   std::vector<Workspace> ws_;        // reference backend
   std::vector<PencilWorkspace> pw_;  // simd backend
-  std::unique_ptr<Rk4> rk4_;  // reused for the rk4 scheme
 };
 
 }  // namespace yy::mhd

@@ -1,10 +1,7 @@
 #include "mhd/rhs.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "common/flops.hpp"
-#include "common/microtask.hpp"
 #include "grid/fd_ops.hpp"
 #include "mhd/derived.hpp"
 
@@ -159,63 +156,6 @@ void compute_rhs(const SphericalGrid& g, const EquationParams& eq,
   });
 
   flops::add(static_cast<std::uint64_t>(box.volume()) * kFlopsPointwiseCombine);
-}
-
-RhsSplit split_rhs_box(const IndexBox& box, int rim) {
-  YY_REQUIRE(rim >= 0);
-  RhsSplit s;
-  // Shrink in θ and φ only; clamp so degenerate extents collapse the
-  // interior to zero volume instead of going negative.
-  const int t_lo = std::min(box.t1, box.t0 + rim);
-  const int t_hi = std::max(t_lo, box.t1 - rim);
-  const int p_lo = std::min(box.p1, box.p0 + rim);
-  const int p_hi = std::max(p_lo, box.p1 - rim);
-  s.interior = {box.r0, box.r1, t_lo, t_hi, p_lo, p_hi};
-
-  const auto add_rim = [&s](const IndexBox& b) {
-    if (b.volume() > 0) s.rim.push_back(b);
-  };
-  // θ caps span the full φ range; φ flanks cover only the interior θ
-  // band, so the four pieces tile box ∖ interior with no overlap.
-  add_rim({box.r0, box.r1, box.t0, t_lo, box.p0, box.p1});
-  add_rim({box.r0, box.r1, t_hi, box.t1, box.p0, box.p1});
-  add_rim({box.r0, box.r1, t_lo, t_hi, box.p0, p_lo});
-  add_rim({box.r0, box.r1, t_lo, t_hi, p_hi, box.p1});
-  return s;
-}
-
-IndexBox phi_slab(const IndexBox& box, int n, int k) {
-  const int np = box.p1 - box.p0;
-  const int base = np / n, extra = np % n;
-  IndexBox slab = box;
-  // Contiguous φ-slabs; the first (np % n) slabs take one extra plane.
-  slab.p0 = box.p0 + k * base + std::min(k, extra);
-  slab.p1 = slab.p0 + base + (k < extra ? 1 : 0);
-  return slab;
-}
-
-void compute_rhs_parallel(const SphericalGrid& g, const EquationParams& eq,
-                          const Fields& state, Fields& rhs,
-                          std::vector<Workspace>& ws_pool, const IndexBox& box,
-                          int nthreads) {
-  if (box.volume() == 0) return;
-  // One slab per thread, at least one φ plane per slab.
-  const int np = box.p1 - box.p0;
-  const int n = std::clamp(nthreads, 1, np);
-  // Each pool entry grows to cover only its slab (compute_rhs ensures
-  // on entry), so resident scratch is ~19 slab-sized blocks per thread
-  // — the full-box total plus one stencil halo per extra thread —
-  // instead of the historic 19×YY_THREADS full-grid arrays; see the
-  // YY_THREADS policy note in common/microtask.hpp.
-  while (ws_pool.size() < static_cast<std::size_t>(n)) ws_pool.emplace_back();
-  if (n == 1) {
-    compute_rhs(g, eq, state, rhs, ws_pool[0], box);
-    return;
-  }
-  common::parallel_regions(n, [&](int k) {
-    compute_rhs(g, eq, state, rhs, ws_pool[static_cast<std::size_t>(k)],
-                phi_slab(box, n, k));
-  });
 }
 
 }  // namespace yy::mhd

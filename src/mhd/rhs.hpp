@@ -29,7 +29,6 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "common/array3d.hpp"
 #include "common/pencil.hpp"
@@ -56,8 +55,8 @@ constexpr const char* backend_name(RhsBackend b) {
 /// covering only the extents the evaluation over `box` actually
 /// indexes — v/T on box.grown(2), the differentiated derived fields on
 /// box.grown(1), operator outputs on box — instead of the historic
-/// full-grid Nr×Nt×Np arrays (the ~19×YY_THREADS memory multiplier;
-/// tests/mhd/test_workspace_footprint.cpp pins the bound).
+/// full-grid Nr×Nt×Np arrays (tests/mhd/test_workspace_footprint.cpp
+/// pins the bound).
 struct Workspace {
   /// Covers nothing; compute_rhs grows it on first use.
   Workspace() = default;
@@ -68,8 +67,8 @@ struct Workspace {
   explicit Workspace(const IndexBox& box);
 
   /// Grows every member to the coverage an evaluation over `box`
-  /// needs; monotone (hull with current coverage), so alternating
-  /// interior/rim sweeps stay allocation-free in steady state.
+  /// needs; monotone (hull with current coverage), so repeated sweeps
+  /// stay allocation-free in steady state.
   void ensure(const IndexBox& box);
   bool covers(const IndexBox& box) const;
   std::size_t allocated_doubles() const;
@@ -115,44 +114,6 @@ struct PencilWorkspace {
 /// 7 of depth 3); the footprint test's accounting constant.
 inline constexpr int kPencilPlanes = 4 * 5 + 7 * 3;
 
-/// Interior/boundary-shell decomposition of an RHS sweep for the
-/// overlapped stepping mode.  `interior` is `box` shrunk by the rim
-/// width in θ and φ only (never radially — radial ghosts are filled by
-/// the purely local wall reflection, so the interior sweep needs no
-/// exchanged data); `rim` is the leftover horizontal shell as at most
-/// four disjoint boxes.  Every point of `box` lands in exactly one
-/// piece.  On patches too small to hold an interior (extent ≤ 2·rim in
-/// a decomposed direction) the interior is empty and the rim covers
-/// the whole box.
-struct RhsSplit {
-  IndexBox interior{};             ///< may have zero volume
-  std::vector<IndexBox> rim;       ///< ≤ 4 boxes, all non-empty, disjoint
-
-  bool interior_empty() const { return interior.volume() == 0; }
-};
-
-/// Splits `box` for a stencil-width `rim` (≥ 0; the solver passes the
-/// grid's ghost width).  Pure index arithmetic, no grid required.
-RhsSplit split_rhs_box(const IndexBox& box, int rim);
-
-/// The k-th of n contiguous φ-slabs of `box` (the first np mod n slabs
-/// take one extra plane).  Shared by both parallel backends so the
-/// partition — and therefore the bitwise result — cannot diverge.
-IndexBox phi_slab(const IndexBox& box, int n, int k);
-
-/// compute_rhs over `box` decomposed into `nthreads` contiguous φ-slabs
-/// evaluated concurrently (common/microtask.hpp), one workspace per
-/// slab — `ws_pool` is grown to `nthreads` entries on first use, each
-/// sized to its slab (not the full grid).  Every slab is an independent
-/// compute_rhs call, so the result is bitwise identical to the
-/// monolithic sweep for any thread count (the RHS is a pointwise
-/// function of the state's stencil neighbourhood; no cross-point
-/// reductions).  nthreads ≤ 1 is exactly compute_rhs.
-void compute_rhs_parallel(const SphericalGrid& g, const EquationParams& eq,
-                          const Fields& state, Fields& rhs,
-                          std::vector<Workspace>& ws_pool, const IndexBox& box,
-                          int nthreads);
-
 /// The simd backend: same contract and bitwise-identical result as
 /// compute_rhs (see file comment), evaluated in one rolling-pencil
 /// sweep over φ whose radial inner loops run `width`-lane packs
@@ -174,22 +135,6 @@ void compute_rhs_simd_width(int width, const SphericalGrid& g,
 void compute_rhs_simd(const SphericalGrid& g, const EquationParams& eq,
                       const Fields& state, Fields& rhs, PencilWorkspace& pw,
                       const IndexBox& box);
-
-/// The simd analogue of compute_rhs_parallel: identical φ-slab
-/// partition (phi_slab), one PencilWorkspace per slab, bitwise
-/// identical to the monolithic sweep for any thread count and width.
-void compute_rhs_parallel_simd_width(int width, const SphericalGrid& g,
-                                     const EquationParams& eq,
-                                     const Fields& state, Fields& rhs,
-                                     std::vector<PencilWorkspace>& pw_pool,
-                                     const IndexBox& box, int nthreads);
-
-/// compute_rhs_parallel_simd_width at simd::active_width().
-void compute_rhs_parallel_simd(const SphericalGrid& g,
-                               const EquationParams& eq, const Fields& state,
-                               Fields& rhs,
-                               std::vector<PencilWorkspace>& pw_pool,
-                               const IndexBox& box, int nthreads);
 
 /// Pointwise-combination flop cost per grid point (the FD operators
 /// charge separately); documented for the perf model's cross-check.

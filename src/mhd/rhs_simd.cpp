@@ -26,17 +26,14 @@
 /// change.  Pack arithmetic is strictly elementwise and the build pins
 /// -ffp-contract=off, so lane i of any pack equals the scalar evaluation
 /// at ir+i bit for bit.  The equivalence suite (tests/mhd/
-/// test_rhs_simd.cpp) pins this against compute_rhs for every width,
-/// split, and thread count.
+/// test_rhs_simd.cpp) pins this against compute_rhs for every width and
+/// for boxes of every shape.
 ///
 /// This TU is compiled with the native ISA flags (see src/mhd/
 /// CMakeLists.txt) so the packs lower to real vector instructions; the
 /// rest of the tree keeps the portable baseline flags.
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "common/flops.hpp"
-#include "common/microtask.hpp"
 #include "common/simd.hpp"
 #include "grid/fd_ops.hpp"
 #include "grid/fd_stencils.hpp"
@@ -372,35 +369,6 @@ void compute_rhs_simd(const SphericalGrid& g, const EquationParams& eq,
                       const Fields& state, Fields& rhs, PencilWorkspace& pw,
                       const IndexBox& box) {
   compute_rhs_simd_width(simd::active_width(), g, eq, state, rhs, pw, box);
-}
-
-void compute_rhs_parallel_simd_width(int width, const SphericalGrid& g,
-                                     const EquationParams& eq,
-                                     const Fields& state, Fields& rhs,
-                                     std::vector<PencilWorkspace>& pw_pool,
-                                     const IndexBox& box, int nthreads) {
-  if (box.volume() == 0) return;
-  const int np = box.p1 - box.p0;
-  const int n = std::clamp(nthreads, 1, np);
-  while (pw_pool.size() < static_cast<std::size_t>(n)) pw_pool.emplace_back();
-  if (n == 1) {
-    compute_rhs_simd_width(width, g, eq, state, rhs, pw_pool[0], box);
-    return;
-  }
-  common::parallel_regions(n, [&](int k) {
-    compute_rhs_simd_width(width, g, eq, state, rhs,
-                           pw_pool[static_cast<std::size_t>(k)],
-                           phi_slab(box, n, k));
-  });
-}
-
-void compute_rhs_parallel_simd(const SphericalGrid& g,
-                               const EquationParams& eq, const Fields& state,
-                               Fields& rhs,
-                               std::vector<PencilWorkspace>& pw_pool,
-                               const IndexBox& box, int nthreads) {
-  compute_rhs_parallel_simd_width(simd::active_width(), g, eq, state, rhs,
-                                  pw_pool, box, nthreads);
 }
 
 }  // namespace yy::mhd

@@ -4,24 +4,8 @@
 
 #include "common/error.hpp"
 #include "common/flops.hpp"
-#include "common/microtask.hpp"
 
 namespace yy::mhd {
-
-namespace {
-
-// Field-wise fork-join: region k handles fields k, k+n, …  The arrays
-// are disjoint and each element update is independent of the thread
-// count, so results are bitwise identical for any YY_THREADS.
-template <typename PerField>
-void over_fields(PerField&& body) {
-  const int n = std::min(common::env_threads(), Fields::kNumFields);
-  common::parallel_regions(n, [&](int k) {
-    for (int i = k; i < Fields::kNumFields; i += n) body(i);
-  });
-}
-
-}  // namespace
 
 Fields::Fields(const SphericalGrid& g)
     : rho(g.Nr(), g.Nt(), g.Np(), 1.0),
@@ -44,24 +28,21 @@ std::array<const Field3*, Fields::kNumFields> Fields::all() const {
 void Fields::copy_from(const Fields& src) {
   auto dst = all();
   auto s = src.all();
-  // Shape checks stay serial: a throw on a worker thread would
-  // std::terminate instead of surfacing as a catchable yy::Error.
   for (int i = 0; i < kNumFields; ++i) YY_REQUIRE(dst[i]->same_shape(*s[i]));
-  over_fields([&](int i) {
+  for (int i = 0; i < kNumFields; ++i)
     std::copy(s[i]->flat().begin(), s[i]->flat().end(),
               dst[i]->flat().begin());
-  });
 }
 
 void Fields::axpy(double a, const Fields& x) {
   auto dst = all();
   auto s = x.all();
   for (int i = 0; i < kNumFields; ++i) YY_REQUIRE(dst[i]->same_shape(*s[i]));
-  over_fields([&](int i) {
+  for (int i = 0; i < kNumFields; ++i) {
     auto d = dst[i]->flat();
     auto v = s[i]->flat();
     for (std::size_t k = 0; k < d.size(); ++k) d[k] += a * v[k];
-  });
+  }
   flops::add(2ull * kNumFields * rho.size());
 }
 
@@ -71,12 +52,12 @@ void Fields::assign_axpy(const Fields& base, double a, const Fields& x) {
   auto s = x.all();
   for (int i = 0; i < kNumFields; ++i)
     YY_REQUIRE(dst[i]->same_shape(*s[i]) && dst[i]->same_shape(*b[i]));
-  over_fields([&](int i) {
+  for (int i = 0; i < kNumFields; ++i) {
     auto d = dst[i]->flat();
     auto bb = b[i]->flat();
     auto v = s[i]->flat();
     for (std::size_t k = 0; k < d.size(); ++k) d[k] = bb[k] + a * v[k];
-  });
+  }
   flops::add(2ull * kNumFields * rho.size());
 }
 

@@ -20,7 +20,6 @@ const char* phase_category(Phase p) {
     case Phase::halo_wait:
     case Phase::overset_wait:
     case Phase::reduce:
-    case Phase::halo_overlap:
       return "comm";
     case Phase::io:
       return "io";

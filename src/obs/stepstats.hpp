@@ -27,11 +27,7 @@ namespace yy::obs {
 
 /// True for phases that are time spent waiting on other ranks (halo,
 /// overset, collective reductions); the rest count as compute for the
-/// imbalance attribution and the compute-vs-wait split.  The overlapped
-/// mode's `halo_overlap` (posting: pack + buffered send + irecv) is
-/// active work, not a wait, and its `interior_rhs`/`rim_rhs` sweeps are
-/// compute — so the split directly shows how much wait the overlap
-/// reclaimed relative to a synchronous run.
+/// imbalance attribution and the compute-vs-wait split.
 bool is_wait_phase(Phase p);
 
 /// One solver step on one rank.

@@ -50,12 +50,6 @@ enum class Phase : int {
   boundary,      ///< physical wall values and radial ghost fill
   reduce,        ///< collective reductions (CFL dt, energies)
   io,            ///< snapshot gather / file output
-  halo_overlap,  ///< overlapped mode: posting halo/overset exchanges
-                 ///< (pack + send + irecv) before the interior sweep
-  interior_rhs,  ///< overlapped mode: RHS interior sweep (no ghosts
-                 ///< needed; runs while exchanges are in flight)
-  rim_rhs,       ///< overlapped mode: RHS boundary-shell sweep after
-                 ///< the exchanges finish
   shrink,        ///< rebuilding the communicator over the survivors
   buddy_restore, ///< redistribution/restore from buddy replicas
   sdc_audit,     ///< silent-data-corruption audit (slab CRCs + probes)
@@ -63,7 +57,7 @@ enum class Phase : int {
   other,         ///< anything else worth a span
 };
 
-inline constexpr int kNumPhases = 15;
+inline constexpr int kNumPhases = 12;
 
 // A new Phase must bump kNumPhases (and the name table in trace.cpp,
 // whose size is pinned by its own static_assert) before it compiles.

@@ -86,25 +86,6 @@ ModelResult EsPerformanceModel::predict(const RunConfig& rc) const {
        cost_.straggler_s_per_proc * ranks * bytes_halo / bytes_per_fill) /
       t_comm_fill;
 
-  // ---- overlapped stepping (DESIGN.md §10) ----------------------------
-  // The interior of the patch (ghost-width rim peeled off in θ and φ)
-  // needs no fresh ghosts, so its sweep can run while the halo/overset
-  // messages of that fill are in flight.  Three of the four RK4 fills
-  // per step overlap; the final state fill has no compute behind it.
-  {
-    const double interior_vol =
-        static_cast<double>(rc.nr) * std::max(0, r.ntl - 2 * ghost) *
-        std::max(0, r.npl - 2 * ghost);
-    r.interior_fraction =
-        interior_vol / (static_cast<double>(rc.nr) * r.ntl * r.npl);
-    const int overlapped_fills = fills_per_step - 1;
-    const double t_comp_fill = t_comp / fills_per_step;
-    r.hidden_comm_s = overlapped_fills *
-                      std::min(t_comm_fill, t_comp_fill * r.interior_fraction);
-    r.overlap_efficiency = r.hidden_comm_s / (fills_per_step * t_comm_fill);
-    r.overlapped_time_per_step_s = t_comp + t_comm - r.hidden_comm_s;
-  }
-
   // ---- totals ----------------------------------------------------------
   r.time_per_step_s = t_comp + t_comm;
   r.comm_fraction = t_comm / r.time_per_step_s;

@@ -72,14 +72,6 @@ struct ModelResult {
   double overset_fraction = 0.0;
   double avg_vector_length = 0.0;
   double vec_op_ratio = 0.0;
-  /// Overlapped-stepping prediction (DESIGN.md §10): the interior share
-  /// of the RHS sweep runs while halo/overset messages are in flight;
-  /// three of the four RK4 fills per step can overlap (the final state
-  /// fill is synchronous).
-  double interior_fraction = 0.0;  ///< interior share of the patch volume
-  double hidden_comm_s = 0.0;      ///< comm time hidden behind the interior
-  double overlap_efficiency = 0.0; ///< hidden_comm_s / total comm time
-  double overlapped_time_per_step_s = 0.0;  ///< step time with overlap on
   double time_per_step_s = 0.0;
   double flops_per_step = 0.0;   ///< whole machine, one RK4 step
   double flops_per_gridpoint_rate = 0.0;  ///< "Flops/g.p." of Table III

@@ -144,14 +144,16 @@ TEST(LatLon, DeterministicTrajectories) {
 }
 
 TEST(LatLon, SimdStepMatchesReferenceBitwise) {
-  // The solver steps with the simd kernel; an Rk4 on the reference
-  // chain, fed the same ghost pipeline, must land on the same bits.
+  // The solver steps with the simd kernel; an rk4 Integrator on the
+  // reference chain, fed the same ghost pipeline, must land on the same
+  // bits.
   LatLonSolver a(small_config()), b(small_config());
   a.initialize();
   b.initialize();
   const double dt = a.stable_dt();
   a.step(dt);
-  mhd::Rk4 ref({&b.grid()}, mhd::RhsBackend::reference);
+  mhd::Integrator ref(mhd::TimeScheme::rk4, {&b.grid()},
+                      mhd::RhsBackend::reference);
   ref.step({{&b.grid(), b.config().eq, &b.state()}}, dt,
            [&](const std::vector<mhd::Fields*>& s) { b.fill_ghosts(*s[0]); });
   for (std::size_t k = 0; k < a.state().all().size(); ++k) {

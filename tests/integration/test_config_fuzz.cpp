@@ -1,8 +1,7 @@
 /// Seeded randomized differential fuzzing of the solver stack: ~20
 /// random small configurations sweeping grid sizes, RHS backends
-/// (reference / simd, the latter at random forced lane widths), the
-/// overlapped stepping mode (which with the registered YY_THREADS=2
-/// also toggles the threaded sweeps) and rank layouts — each asserting
+/// (reference / simd, the latter at random forced lane widths) and rank
+/// layouts — each asserting
 /// that the serial whole-sphere solver and the distributed solver land
 /// on *bitwise* identical trajectories.  The generator is a fixed
 /// master seed expanded per case, so every run covers the same corpus;
@@ -48,11 +47,10 @@ struct CaseSpec {
        << " np_core=" << cfg.np_core << " backend="
        << mhd::backend_name(cfg.rhs_backend);
     if (simd_width > 0) os << " width=" << simd_width;
-    os << " overlap=" << (cfg.overlap ? 1 : 0) << " layout=" << pt << "x"
-       << pp << " mu=" << cfg.eq.mu << " kappa=" << cfg.eq.kappa
-       << " eta=" << cfg.eq.eta << " g0=" << cfg.eq.g0
-       << " omega_z=" << cfg.eq.omega.z << " ic.seed=" << cfg.ic.seed
-       << " steps=" << kSteps;
+    os << " layout=" << pt << "x" << pp << " mu=" << cfg.eq.mu
+       << " kappa=" << cfg.eq.kappa << " eta=" << cfg.eq.eta
+       << " g0=" << cfg.eq.g0 << " omega_z=" << cfg.eq.omega.z
+       << " ic.seed=" << cfg.ic.seed << " steps=" << kSteps;
     return os.str();
   }
 };
@@ -82,7 +80,7 @@ CaseSpec random_case(std::uint64_t seed) {
   c.cfg.ic.seed_b_amp = rng.uniform(5e-5, 5e-4);
   c.cfg.ic.seed = rng.next_u64();
 
-  // Execution shape: backend × overlap × rank layout.
+  // Execution shape: backend (× lane width) × rank layout.
   static constexpr mhd::RhsBackend kBackends[] = {mhd::RhsBackend::reference,
                                                   mhd::RhsBackend::simd};
   c.cfg.rhs_backend = pick(rng, kBackends);
@@ -90,7 +88,6 @@ CaseSpec random_case(std::uint64_t seed) {
     static constexpr int kWidths[] = {1, 2, 4, 8};
     c.simd_width = pick(rng, kWidths);
   }
-  c.cfg.overlap = rng.next_u64() % 2 == 1;
   static constexpr std::pair<int, int> kLayouts[] = {
       {1, 1}, {1, 2}, {2, 1}, {2, 2}};
   const auto [pt, pp] = pick(rng, kLayouts);
@@ -157,20 +154,20 @@ TEST(ConfigFuzz, SerialAndDistributedTrajectoriesAgreeBitwise) {
 
 /// The corpus must actually sweep the execution-shape axes, or a
 /// generator regression could silently fuzz one backend forever.
-TEST(ConfigFuzz, CorpusCoversBackendsModesAndLayouts) {
+TEST(ConfigFuzz, CorpusCoversBackendsWidthsAndLayouts) {
   bool backend_seen[2] = {false, false};
-  bool overlap_seen[2] = {false, false};
+  bool width_seen[9] = {};
   bool multirank = false;
   for (int i = 0; i < kCases; ++i) {
     const std::uint64_t seed =
         kMasterSeed + 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(i + 1);
     const CaseSpec c = random_case(seed);
     backend_seen[static_cast<int>(c.cfg.rhs_backend)] = true;
-    overlap_seen[c.cfg.overlap ? 1 : 0] = true;
+    width_seen[c.simd_width] = true;
     if (c.pt * c.pp > 1) multirank = true;
   }
   EXPECT_TRUE(backend_seen[0] && backend_seen[1]);
-  EXPECT_TRUE(overlap_seen[0] && overlap_seen[1]);
+  for (int w : {1, 2, 4, 8}) EXPECT_TRUE(width_seen[w]) << "width " << w;
   EXPECT_TRUE(multirank);
 }
 

@@ -77,25 +77,6 @@ TEST(Integrator, SchemesConvergeToSameTrajectory) {
   EXPECT_NEAR(probe_after(TimeScheme::rk2, 64, T), ref, 1e-7);
 }
 
-TEST(Integrator, Rk4MatchesLegacyRk4Class) {
-  // The Integrator's rk4 path delegates to the Rk4 implementation;
-  // trajectories must be bit-identical.
-  core::SimulationConfig cfg = order_config(TimeScheme::rk4);
-  cfg.ic.perturb_amp = 1e-2;
-  core::SerialYinYangSolver a(cfg);
-  a.initialize();
-  a.run_steps(5);
-
-  core::SimulationConfig cfg2 = cfg;  // same scheme enum value
-  core::SerialYinYangSolver b(cfg2);
-  b.initialize();
-  b.run_steps(5);
-  for_box(a.grid().interior(), [&](int ir, int it, int ip) {
-    ASSERT_DOUBLE_EQ(a.panel(yinyang::Panel::yin).p(ir, it, ip),
-                     b.panel(yinyang::Panel::yin).p(ir, it, ip));
-  });
-}
-
 TEST(Integrator, EulerNeedsNoExtraStageStorage) {
   core::SimulationConfig cfg = order_config(TimeScheme::euler);
   core::SerialYinYangSolver s(cfg);

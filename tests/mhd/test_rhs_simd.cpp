@@ -9,17 +9,16 @@
 ///    round-trips, strictly elementwise arithmetic vs scalar ops.
 ///  * Width policy: parse_width_override, the force_active_width hook,
 ///    and the simd backend being the SimulationConfig default.
-///  * Lane sweep vs reference, bitwise: full interiors, the all-rim
-///    split, threaded φ-slabs, and remainder tails — grid n=6 has a
-///    radial extent of 2, so W=4/8 run all-tail rows and W=2 runs
-///    exactly one pack; n=9 (extent 5) and n=14 (extent 10) mix packs
-///    and tails.  The φ-slab partition tiles every box exactly.
+///  * Lane sweep vs reference, bitwise: full interiors, skinny shell
+///    boxes, and remainder tails — grid n=6 has a radial extent of 2,
+///    so W=4/8 run all-tail rows and W=2 runs exactly one pack; n=9
+///    (extent 5) and n=14 (extent 10) mix packs and tails.
 ///  * Identical flop charge and analytic lane-statistics accounting.
 ///  * Manufactured-solution 2nd-order convergence through the sweep at
 ///    width 1 and at the compiled max width.
-///  * 10-step RK4 trajectories at 1/2/4 ranks per panel, sync and
-///    overlapped, at widths {1, 2, compiled max} (the scalar sweep plus
-///    at least two lane widths on any x86-64 build).
+///  * 10-step RK4 trajectories at 1/2/4 ranks per panel, at widths
+///    {1, 2, compiled max} (the scalar sweep plus at least two lane
+///    widths on any x86-64 build).
 #include "mhd/rhs.hpp"
 
 #include <gtest/gtest.h>
@@ -184,6 +183,26 @@ void expect_fields_bitwise(const Fields& a, const Fields& b,
 
 constexpr int kWidths[] = {1, 2, 4, 8};
 
+/// Tiles `box` into an inner box shrunk by `rim` in θ and φ plus up to
+/// four shell boxes around it (empty pieces dropped) — skinny sweep
+/// boxes for the kernel.  On n = 6 the inner box collapses and every
+/// piece is shell.
+std::vector<IndexBox> shell_tiling(const IndexBox& box, int rim) {
+  const int t_lo = std::min(box.t1, box.t0 + rim);
+  const int t_hi = std::max(t_lo, box.t1 - rim);
+  const int p_lo = std::min(box.p1, box.p0 + rim);
+  const int p_hi = std::max(p_lo, box.p1 - rim);
+  std::vector<IndexBox> pieces;
+  for (const IndexBox& b :
+       {IndexBox{box.r0, box.r1, t_lo, t_hi, p_lo, p_hi},
+        IndexBox{box.r0, box.r1, box.t0, t_lo, box.p0, box.p1},
+        IndexBox{box.r0, box.r1, t_hi, box.t1, box.p0, box.p1},
+        IndexBox{box.r0, box.r1, t_lo, t_hi, box.p0, p_lo},
+        IndexBox{box.r0, box.r1, t_lo, t_hi, p_hi, box.p1}})
+    if (b.volume() > 0) pieces.push_back(b);
+  return pieces;
+}
+
 class SimdSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(SimdSweep, MatchesReferenceBitwiseOnFullInteriorAtEveryWidth) {
@@ -205,9 +224,9 @@ TEST_P(SimdSweep, MatchesReferenceBitwiseOnFullInteriorAtEveryWidth) {
   }
 }
 
-TEST_P(SimdSweep, SplitInteriorPlusRimMatchesReferenceBitwise) {
-  // On n = 6 the split interior collapses and every box is rim: the
-  // lane sweep must handle arbitrary skinny boxes, not just interiors.
+TEST_P(SimdSweep, ShellTilingMatchesReferenceBitwise) {
+  // The lane sweep must handle arbitrary skinny boxes, not just
+  // interiors.
   const SphericalGrid g = test_grid(GetParam());
   const EquationParams eq = test_eq();
   Fields s(g);
@@ -217,38 +236,13 @@ TEST_P(SimdSweep, SplitInteriorPlusRimMatchesReferenceBitwise) {
   Workspace ws;
   compute_rhs(g, eq, s, ref, ws, g.interior());
 
-  const RhsSplit sp = split_rhs_box(g.interior(), g.ghost());
   for (int w : kWidths) {
     SCOPED_TRACE(w);
     Fields lanes(g);
     PencilWorkspace pw;
-    compute_rhs_simd_width(w, g, eq, s, lanes, pw, sp.interior);
-    for (const IndexBox& b : sp.rim)
+    for (const IndexBox& b : shell_tiling(g.interior(), g.ghost()))
       compute_rhs_simd_width(w, g, eq, s, lanes, pw, b);
     expect_fields_bitwise(ref, lanes, g.interior());
-  }
-}
-
-TEST_P(SimdSweep, ThreadedSlabsMatchReferenceBitwise) {
-  const SphericalGrid g = test_grid(GetParam());
-  const EquationParams eq = test_eq();
-  Fields s(g);
-  fill_smooth(g, s);
-
-  Fields ref(g);
-  Workspace ws;
-  compute_rhs(g, eq, s, ref, ws, g.interior());
-
-  for (int w : kWidths) {
-    for (int nthreads : {1, 2, 3, 7}) {
-      SCOPED_TRACE(testing::Message() << "width " << w << " threads "
-                                      << nthreads);
-      Fields par(g);
-      std::vector<PencilWorkspace> pool;
-      compute_rhs_parallel_simd_width(w, g, eq, s, par, pool, g.interior(),
-                                      nthreads);
-      expect_fields_bitwise(ref, par, g.interior());
-    }
   }
 }
 
@@ -285,11 +279,9 @@ TEST(SimdRhs, ChargesIdenticalFlopsPerBoxAtEveryWidth) {
   PencilWorkspace pw;
   Workspace ws;
 
-  const RhsSplit sp = split_rhs_box(g.interior(), g.ghost());
-  std::vector<IndexBox> boxes{g.interior(), sp.interior};
-  boxes.insert(boxes.end(), sp.rim.begin(), sp.rim.end());
+  std::vector<IndexBox> boxes = shell_tiling(g.interior(), g.ghost());
+  boxes.push_back(g.interior());
   for (const IndexBox& b : boxes) {
-    if (b.volume() == 0) continue;
     flops::global_reset();
     compute_rhs(g, eq, s, out, ws, b);
     const auto ref_count = flops::global_count();
@@ -301,25 +293,6 @@ TEST(SimdRhs, ChargesIdenticalFlopsPerBoxAtEveryWidth) {
           << "width " << w << " box [" << b.r0 << "," << b.r1 << ")x[" << b.t0
           << "," << b.t1 << ")x[" << b.p0 << "," << b.p1 << ")";
     }
-  }
-}
-
-TEST(SimdRhs, PhiSlabsTileTheBoxExactly) {
-  const IndexBox box{2, 9, 2, 14, 2, 21};
-  for (int n : {1, 2, 3, 7, 19}) {
-    SCOPED_TRACE(n);
-    int covered = box.p0;
-    for (int k = 0; k < n; ++k) {
-      const IndexBox slab = phi_slab(box, n, k);
-      EXPECT_EQ(slab.r0, box.r0);
-      EXPECT_EQ(slab.r1, box.r1);
-      EXPECT_EQ(slab.t0, box.t0);
-      EXPECT_EQ(slab.t1, box.t1);
-      EXPECT_EQ(slab.p0, covered);  // contiguous, no gap or overlap
-      EXPECT_GE(slab.p1, slab.p0);
-      covered = slab.p1;
-    }
-    EXPECT_EQ(covered, box.p1);
   }
 }
 
@@ -477,13 +450,10 @@ INSTANTIATE_TEST_SUITE_P(ManufacturedSolutions, SimdConvergence,
 
 // ---------------------------------------------------------------------
 // Trajectory equivalence: 10 RK4 steps of the distributed solver on the
-// simd backend must land on the reference trajectory bitwise, in the
-// synchronous and the overlapped stepping mode, at 1, 2 and 4 ranks per
-// panel — swept over widths {1, 2, compiled max} via the
-// force_active_width hook, which covers the scalar fallback plus at
-// least two genuine lane widths on any x86-64 build.  (YY_THREADS=2
-// from the ctest registration makes the overlapped runs exercise the
-// threaded lane sweep too.)
+// simd backend must land on the reference trajectory bitwise at 1, 2
+// and 4 ranks per panel — swept over widths {1, 2, compiled max} via
+// the force_active_width hook, which covers the scalar fallback plus at
+// least two genuine lane widths on any x86-64 build.
 // ---------------------------------------------------------------------
 
 using testsupport::expect_bitwise_equal;
@@ -499,13 +469,12 @@ std::vector<int> trajectory_widths() {
 
 class SimdTrajectory : public ::testing::TestWithParam<std::pair<int, int>> {};
 
-TEST_P(SimdTrajectory, BitwiseEqualToReferenceInSyncAndOverlapModes) {
+TEST_P(SimdTrajectory, BitwiseEqualToReference) {
   const auto [pt, pp] = GetParam();
   const int steps = 10;
   core::SimulationConfig cfg = testsupport::small_trajectory_config();
 
   cfg.rhs_backend = RhsBackend::reference;
-  cfg.overlap = false;
   const RunResult ref = run_case(cfg, pt, pp, steps);
   ASSERT_GT(ref.dt, 0.0);
 
@@ -513,12 +482,7 @@ TEST_P(SimdTrajectory, BitwiseEqualToReferenceInSyncAndOverlapModes) {
   for (int w : trajectory_widths()) {
     SCOPED_TRACE(testing::Message() << "width " << w);
     simd::force_active_width(w);
-    cfg.overlap = false;
-    const RunResult simd_sync = run_case(cfg, pt, pp, steps);
-    expect_bitwise_equal(ref, simd_sync);
-    cfg.overlap = true;
-    const RunResult simd_over = run_case(cfg, pt, pp, steps);
-    expect_bitwise_equal(ref, simd_over);
+    expect_bitwise_equal(ref, run_case(cfg, pt, pp, steps));
     simd::force_active_width(0);
   }
 }

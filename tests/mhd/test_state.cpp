@@ -82,7 +82,7 @@ TEST(Fields, SetZeroClearsAll) {
 
 TEST(Fields, RungeKuttaStageAlgebraIdentity) {
   // acc = y + dt/6 k1 + dt/3 k2 composed via axpy must equal the direct
-  // expression — the exact algebra Rk4 relies on.
+  // expression — the exact algebra Integrator::step_rk4 relies on.
   SphericalGrid g = small_grid();
   Fields y(g), k1(g), k2(g), acc(g);
   y.p(1, 1, 1) = 2.0;

@@ -1,15 +1,10 @@
-/// Pins the scratch-memory contract of both RHS backends (the fix for
-/// the historic ~19×YY_THREADS full-grid multiplier): a Workspace
-/// allocates exactly the grown-box extents an evaluation indexes, the
-/// threaded pool holds slab-sized (not full-grid) entries, and the
-/// simd backend's pencil rings are O(depth·Nr·Nt) planes, far below
+/// Pins the scratch-memory contract of both RHS backends: a Workspace
+/// allocates exactly the grown-box extents an evaluation indexes, and
+/// the simd backend's pencil rings are O(depth·Nr·Nt) planes, far below
 /// any box-sized volume.
 #include "mhd/rhs.hpp"
 
 #include <gtest/gtest.h>
-
-#include <numeric>
-#include <vector>
 
 #include "grid/analytic_fields.hpp"
 
@@ -62,36 +57,12 @@ TEST(WorkspaceFootprint, GridWorkspaceCoversEveryInteriorBox) {
   const SphericalGrid g = test_grid(9);
   Workspace ws(g);
   EXPECT_EQ(ws.allocated_doubles(), expected_workspace_doubles(g.interior()));
-  const RhsSplit sp = split_rhs_box(g.interior(), g.ghost());
-  for (const IndexBox& b : sp.rim) EXPECT_TRUE(ws.covers(b));
-}
-
-TEST(WorkspaceFootprint, ParallelPoolEntriesAreSlabSizedNotFullGrid) {
-  const SphericalGrid g = test_grid(14);
-  EquationParams eq;
-  Fields s(g), out(g);
-  testutil::fill_scalar(g, s.rho, [](const Vec3&) { return 1.0; });
-  testutil::fill_scalar(g, s.p, [](const Vec3&) { return 1.0; });
-
-  const int nthreads = 4;
-  std::vector<Workspace> pool;
-  compute_rhs_parallel(g, eq, s, out, pool, g.interior(), nthreads);
-
-  ASSERT_EQ(pool.size(), static_cast<std::size_t>(nthreads));
-  std::size_t total = 0;
-  for (int k = 0; k < nthreads; ++k) {
-    const IndexBox slab = phi_slab(g.interior(), nthreads, k);
-    EXPECT_EQ(pool[k].allocated_doubles(), expected_workspace_doubles(slab))
-        << "pool entry " << k;
-    total += pool[k].allocated_doubles();
-  }
-  // The regression this file exists for: the pool must not hold
-  // nthreads full-grid workspaces (the historic ~19×YY_THREADS
-  // multiplier).  Slab coverage overlaps only in the stencil halos, so
-  // the pool total stays well under two full-patch workspaces.
-  const std::size_t full = expected_workspace_doubles(g.interior());
-  EXPECT_LT(total, 2 * full);
-  EXPECT_LT(total, static_cast<std::size_t>(nthreads) * full);
+  const IndexBox in = g.interior();
+  for (const IndexBox& b : {IndexBox{in.r0, in.r1, in.t0, in.t0 + 2, in.p0,
+                                     in.p1},
+                            IndexBox{in.r0 + 1, in.r1, in.t0 + 1, in.t1,
+                                     in.p1 - 2, in.p1}})
+    EXPECT_TRUE(ws.covers(b));
 }
 
 TEST(WorkspaceFootprint, PencilWorkspaceIsPlanesNotVolumes) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -270,6 +271,8 @@ TEST(Telemetry, SeriesReconcilesWithMetricsSummary) {
   man.app = "reconcile";
   TelemetrySink sink(man);
   TraceRecorder rec;
+  std::mutex mu;
+  std::vector<StepStats> per_rank_steps;
   comm::Runtime rt(2);
   rt.run([&](comm::Communicator& w) {
     core::DistributedSolver solver(cfg, w, /*pt=*/1, /*pp=*/1);
@@ -284,7 +287,19 @@ TEST(Telemetry, SeriesReconcilesWithMetricsSummary) {
     solver.attach_telemetry(&tel);
     for (int i = 0; i < steps; ++i) solver.step(dt);
     tel.flush();
+    std::lock_guard lock(mu);
+    for (std::size_t i = 0; i < tel.ring().size(); ++i)
+      per_rank_steps.push_back(tel.ring().from_oldest(i));
   });
+
+  // Leaf spans never overlap, so their sum is bounded by the step wall
+  // (small slack for clock granularity) and — because every heavy
+  // kernel is instrumented — covers most of it.
+  ASSERT_EQ(per_rank_steps.size(), static_cast<std::size_t>(2 * steps));
+  for (const StepStats& s : per_rank_steps) {
+    EXPECT_LE(s.phase_seconds(), 1.05 * s.wall_seconds + 1e-4);
+    EXPECT_GE(s.phase_seconds(), 0.25 * s.wall_seconds);
+  }
 
   ASSERT_EQ(sink.series().size(), static_cast<std::size_t>(steps));
   for (int k = 0; k < steps; ++k) {

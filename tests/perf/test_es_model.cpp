@@ -113,37 +113,6 @@ TEST(EsModel, FlopsPerGridpointRateMatchesTflopsIdentity) {
               1e-3 * m.tflops * 1e12);
 }
 
-TEST(EsModel, OverlapPredictionIsConsistent) {
-  const ModelResult m = default_model().predict(kTable2Configs[0]);
-  // Interior fraction is a genuine fraction and large on ES-size
-  // patches (ghost rim of 2 off a 17×25-ish patch).
-  EXPECT_GT(m.interior_fraction, 0.4);
-  EXPECT_LT(m.interior_fraction, 1.0);
-  // Hidden time is bounded by both total comm and the overlapped share
-  // of compute; the overlapped step is faster but can never beat
-  // compute-only time.
-  EXPECT_GT(m.hidden_comm_s, 0.0);
-  EXPECT_GT(m.overlap_efficiency, 0.0);
-  EXPECT_LE(m.overlap_efficiency, 0.75 + 1e-12);  // ≤ 3 of 4 fills
-  EXPECT_LT(m.overlapped_time_per_step_s, m.time_per_step_s);
-  EXPECT_GE(m.overlapped_time_per_step_s,
-            m.comp_fraction * m.time_per_step_s - 1e-12);
-}
-
-TEST(EsModel, OverlapHidesMoreWhenCommShareGrows) {
-  // Scaling out at fixed grid raises the comm share; as long as the
-  // interior compute still covers the in-flight time, the absolute
-  // hidden seconds cannot shrink relative to a comm-bound run's needs:
-  // overlap efficiency stays meaningful across Table II rows.
-  const EsPerformanceModel model = default_model();
-  for (const RunConfig& rc : kTable2Configs) {
-    const ModelResult m = model.predict(rc);
-    EXPECT_GT(m.overlap_efficiency, 0.05) << rc.processors;
-    EXPECT_LE(m.hidden_comm_s,
-              m.comm_fraction * m.time_per_step_s + 1e-12);
-  }
-}
-
 TEST(EsModel, MoreFlopsPerPointRaisesTflopsNotEfficiencyMuch) {
   EsPerformanceModel lean(EarthSimulatorSpec{}, EsCostParams{}, 1500.0);
   EsPerformanceModel fat(EarthSimulatorSpec{}, EsCostParams{}, 6000.0);

@@ -3,11 +3,13 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "comm/fault.hpp"
 #include "comm/runtime.hpp"
 #include "common/error.hpp"
+#include "support/equivalence.hpp"
 
 namespace yy::comm {
 namespace {
@@ -235,6 +237,36 @@ TEST(FaultInjection, MinStepGatesRuleOnFaultClock) {
   EXPECT_TRUE(early_ok.load());
   EXPECT_TRUE(late_dropped.load());
   EXPECT_EQ(plan->injected(FaultPlan::Kind::drop), 1u);
+}
+
+/// Tag-collision regression for the solver's ghost fills: uneven
+/// delivery delays on both θ-halo directions and the overset stream
+/// scramble the arrival order of every envelope, and matching must
+/// still pair them by (context, source, tag) FIFO, never by arrival.
+/// The halo tags (100–103) live on the panel cart communicator and the
+/// overset tag (200) on the world communicator, so even equal tags
+/// could never cross-match; the trajectory must come out bitwise the
+/// undelayed one.
+TEST(FaultInjection, DelayedSolverDeliveriesNeverCrossMatch) {
+  const core::SimulationConfig cfg = testsupport::small_trajectory_config();
+  const int pt = 2, pp = 1, steps = 3;
+  const testsupport::RunResult clean =
+      testsupport::run_case(cfg, pt, pp, steps);
+
+  auto plan = std::make_shared<FaultPlan>();
+  for (const auto& [tag, ms] : {std::pair{100, 4}, {101, 1}, {200, 2}}) {
+    FaultPlan::Rule r;
+    r.kind = FaultPlan::Kind::delay;
+    r.tag = tag;
+    r.max_count = 0;  // every envelope of the stream
+    r.delay_ms = ms;
+    plan->add_rule(r);
+  }
+  const testsupport::RunResult skewed =
+      testsupport::run_case(cfg, pt, pp, steps, plan);
+
+  EXPECT_GT(plan->injected(FaultPlan::Kind::delay), 0u);
+  testsupport::expect_bitwise_equal(clean, skewed);
 }
 
 }  // namespace

@@ -5,8 +5,7 @@
 /// rank's patch from its buddy's diskless replica and complete — and
 /// the final state is BITWISE equal to an unfaulted run executed
 /// directly on the shrunk 3-rank layout, verified per rank and per
-/// gathered panel, in both the synchronous and the overlapped
-/// stepping modes, for an interior victim and for world rank 0 (root
+/// gathered panel, for an interior victim and for world rank 0 (root
 /// failover in every collective).  Compound schedules — a bit flip
 /// beside a death, a flip on the shrunk world, two deaths on one
 /// recovery budget — run through the same harness.
@@ -40,12 +39,6 @@ namespace {
 using testsupport::count_diffs;
 using testsupport::field_data;
 using testsupport::flatten;
-
-core::SimulationConfig death_config(bool overlap = false) {
-  core::SimulationConfig cfg = testsupport::small_trajectory_config();
-  cfg.overlap = overlap;
-  return cfg;
-}
 
 std::string fresh_dir(const std::string& name) {
   // Pid-unique: concurrent suite instances (e.g. ctest in two build
@@ -139,7 +132,6 @@ TEST(RankDeath, ShrunkLayoutsKeepUntouchedPanelsAndRefactorLossy) {
 struct Schedule {
   std::vector<std::pair<int, long long>> deaths;
   std::vector<std::pair<int, long long>> flips;
-  bool overlap = false;
   int audit_interval = 0;
   int sdc_restores = 0;  ///< expected on every survivor
 };
@@ -149,7 +141,7 @@ struct Schedule {
 /// kTarget steps with per-rank state and per-panel gathered fields
 /// bitwise equal to a direct unfaulted run on the final shrunk layout.
 void expect_survives_bitwise(const Schedule& sched) {
-  const core::SimulationConfig cfg = death_config(sched.overlap);
+  const core::SimulationConfig cfg = testsupport::small_trajectory_config();
   constexpr int kRanks = 4;
   constexpr long long kTarget = 20;
   std::string name = "rankdeath";
@@ -157,7 +149,7 @@ void expect_survives_bitwise(const Schedule& sched) {
     name += "_d" + std::to_string(r) + "at" + std::to_string(step);
   for (const auto& [r, step] : sched.flips)
     name += "_f" + std::to_string(r) + "at" + std::to_string(step);
-  const std::string dir = fresh_dir(name + (sched.overlap ? "_ov" : "_sync"));
+  const std::string dir = fresh_dir(name);
   obs::EventCounters::global().reset();
 
   // Follow the layout through each shrink: `alive` maps the current
@@ -293,24 +285,19 @@ void expect_survives_bitwise(const Schedule& sched) {
   EXPECT_EQ(ev.count(obs::Event::run_failed), 0u);
 }
 
-void expect_shrink_to_survive_bitwise(int victim, bool overlap) {
+void expect_shrink_to_survive_bitwise(int victim) {
   // Checkpoint cadence 5: the death at 13 restores the step-10 snapshot.
-  expect_survives_bitwise(
-      {.deaths = {{victim, 13}}, .flips = {}, .overlap = overlap});
+  expect_survives_bitwise({.deaths = {{victim, 13}}, .flips = {}});
 }
 
 TEST(RankDeath, ShrinkToSurviveMatchesDirectShrunkRunSync) {
-  expect_shrink_to_survive_bitwise(/*victim=*/1, /*overlap=*/false);
-}
-
-TEST(RankDeath, ShrinkToSurviveMatchesDirectShrunkRunOverlapped) {
-  expect_shrink_to_survive_bitwise(/*victim=*/1, /*overlap=*/true);
+  expect_shrink_to_survive_bitwise(/*victim=*/1);
 }
 
 TEST(RankDeath, ShrinkSurvivesDeathOfWorldRankZero) {
   // Root failover: every rank-0-star collective (reductions, gathers,
   // shrink itself) must re-root on the lowest survivor.
-  expect_shrink_to_survive_bitwise(/*victim=*/0, /*overlap=*/false);
+  expect_shrink_to_survive_bitwise(/*victim=*/0);
 }
 
 // Compound faults: several fault kinds in one run, each ending bitwise

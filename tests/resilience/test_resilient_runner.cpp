@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "comm/fault.hpp"
@@ -137,6 +138,90 @@ TEST(ResilientRunner, FaultedRunMatchesUnfaultedRunBitwise) {
   EXPECT_NE(json.find("\"recovery_rewind\":1"), std::string::npos) << json;
   const std::string csv = obs::metrics_csv(obs::collect_metrics(rec));
   EXPECT_NE(csv.find("EVENT,recovery_rewind"), std::string::npos) << csv;
+}
+
+/// Two transient comm faults in one run: a dropped θ-halo envelope at
+/// step 7 (the halo exchange times out) and a dropped overset envelope
+/// at step 9 of the re-run (the overset exchange times out after the
+/// halo completed).  A timeout must leave neither exchanger with
+/// anything in flight, so the rewound run steps on.  Because a dropped
+/// envelope starves its FIFO stream only once the donor stops
+/// producing, ranks drift a step or two past the first fault before
+/// deadlocking — so the two drops may collapse into one collective
+/// recovery episode or surface as two, depending on machine speed.
+/// Either way the run must complete, every rank must count the same
+/// episodes, and the end state must be bitwise the unfaulted run on the
+/// same step/dt schedule (the rewind discards the whole drifted
+/// segment).
+TEST(ResilientRunner, TimeoutRecoveryAfterDroppedHaloAndOverset) {
+  const core::SimulationConfig cfg = runner_config();
+  const std::string dir = fresh_dir("timeouts");
+  const int pt = 2, pp = 1;
+  constexpr int kRanks = 4;  // 2 panels × pt × pp
+  constexpr long long kTarget = 12;
+
+  std::vector<std::vector<double>> want(kRanks), got(kRanks);
+  std::vector<RunReport> reports(kRanks);
+
+  {  // Reference: plain uninterrupted stepping, no faults.
+    comm::Runtime rt(kRanks);
+    rt.run([&](comm::Communicator& w) {
+      core::DistributedSolver solver(cfg, w, pt, pp);
+      solver.initialize();
+      const double dt = solver.stable_dt();
+      for (long long i = 0; i < kTarget; ++i) solver.step(dt);
+      want[static_cast<std::size_t>(w.rank())] =
+          flatten(solver.local_state());
+    });
+  }
+
+  {  // Faulted: one θ-halo drop, then one overset drop.
+    comm::Runtime rt(kRanks);
+    auto plan = std::make_shared<comm::FaultPlan>();
+    for (const auto& [tag, step] : {std::pair{100, 7}, {200, 9}}) {
+      comm::FaultPlan::Rule drop;
+      drop.kind = comm::FaultPlan::Kind::drop;
+      drop.tag = tag;  // 100: θ-strip halo, 200: overset interpolation
+      drop.min_step = step;
+      drop.max_count = 1;
+      plan->add_rule(drop);
+    }
+    rt.install_fault_plan(plan);
+
+    rt.run([&](comm::Communicator& w) {
+      core::DistributedSolver solver(cfg, w, pt, pp);
+      solver.initialize();
+      const double dt = solver.stable_dt();
+      RunPolicy policy;
+      policy.store = {dir, "tmo", 3};
+      policy.checkpoint_interval = 5;
+      policy.max_recoveries = 4;
+      policy.take_deadline_ms = 3000;  // generous for sanitizer builds
+      ResilientRunner runner(solver, policy);
+      reports[static_cast<std::size_t>(w.rank())] = runner.run(kTarget, dt);
+      got[static_cast<std::size_t>(w.rank())] =
+          flatten(solver.local_state());
+    });
+    rt.install_fault_plan(nullptr);
+    EXPECT_EQ(plan->injected(comm::FaultPlan::Kind::drop), 2u);
+  }
+
+  for (int r = 0; r < kRanks; ++r) {
+    const RunReport& rep = reports[static_cast<std::size_t>(r)];
+    EXPECT_TRUE(rep.completed) << "rank " << r << ": " << rep.failure;
+    EXPECT_EQ(rep.final_step, kTarget) << "rank " << r;
+    EXPECT_GE(rep.recoveries, 1) << "rank " << r;
+    EXPECT_LE(rep.recoveries, 2) << "rank " << r;
+    EXPECT_EQ(rep.recoveries, reports[0].recoveries) << "rank " << r;
+    ASSERT_EQ(got[static_cast<std::size_t>(r)].size(),
+              want[static_cast<std::size_t>(r)].size());
+    std::size_t diffs = 0;
+    for (std::size_t i = 0; i < got[static_cast<std::size_t>(r)].size(); ++i)
+      if (got[static_cast<std::size_t>(r)][i] !=
+          want[static_cast<std::size_t>(r)][i])
+        ++diffs;
+    EXPECT_EQ(diffs, 0u) << "rank " << r;
+  }
 }
 
 TEST(ResilientRunner, BlowupTriggersDtBackoffAndCompletes) {

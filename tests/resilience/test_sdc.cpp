@@ -2,12 +2,11 @@
 /// slab-CRC auditor, the physics invariant probes, replica scrubbing,
 /// and the buddy-restore recovery tier.
 ///
-/// The acceptance scenario of the PR: a scheduled in-memory bit flip
-/// on one rank — at 1, 2 and 4 ranks per panel, sync and overlapped
-/// stepping — is detected within one audit cadence, recovered by
-/// restoring every patch from the diskless buddy images, and the run
-/// completes BITWISE equal, per rank and per gathered panel, to the
-/// unfaulted run.  Rot in the buddy images themselves is healed by the
+/// The acceptance scenario: a scheduled in-memory bit flip on one rank
+/// — at 1, 2 and 4 ranks per panel — is detected within one audit
+/// cadence, recovered by restoring every patch from the diskless buddy
+/// images, and the run completes BITWISE equal, per rank and per
+/// gathered panel, to the unfaulted run.  Rot in the buddy images themselves is healed by the
 /// scrubber (or ring-refetched during the restore), and unscrubbed rot
 /// turns a later restore down cleanly instead of crashing mid-rebuild.
 #include <gtest/gtest.h>
@@ -165,18 +164,17 @@ TEST(SdcScrub, RepairsCorruptReplicaInPlace) {
 /// replica has rotted as well: the own-image rung is refused and the
 /// ladder falls back to the disk rung (no set yet, so a replay from the
 /// initial state), still bitwise.
-void expect_sdc_recovery_bitwise(int pt, int pp, bool overlap, bool rot_own,
+void expect_sdc_recovery_bitwise(int pt, int pp, bool rot_own,
                                  bool rot_holder = false) {
-  core::SimulationConfig cfg = testsupport::small_trajectory_config();
-  cfg.overlap = overlap;
+  const core::SimulationConfig cfg = testsupport::small_trajectory_config();
   const int ranks = 2 * pt * pp;
   constexpr long long kTarget = 12;
   constexpr long long kFlip = 8;
   constexpr int kCadence = 4;
   constexpr int kVictim = 1;
   const std::string dir =
-      fresh_dir("sdc_" + std::to_string(ranks) + (overlap ? "_ov" : "_sync") +
-                (rot_own ? "_rot" : "") + (rot_holder ? "_holder" : ""));
+      fresh_dir("sdc_" + std::to_string(ranks) + (rot_own ? "_rot" : "") +
+                (rot_holder ? "_holder" : ""));
   obs::EventCounters::global().reset();
 
   // ---- Reference: the unfaulted trajectory on the same layout.
@@ -286,30 +284,21 @@ void expect_sdc_recovery_bitwise(int pt, int pp, bool overlap, bool rot_own,
 }
 
 TEST(SdcRecovery, BitflipRestoredBitwise2RanksSync) {
-  expect_sdc_recovery_bitwise(1, 1, /*overlap=*/false, /*rot_own=*/false);
-}
-TEST(SdcRecovery, BitflipRestoredBitwise2RanksOverlapped) {
-  expect_sdc_recovery_bitwise(1, 1, /*overlap=*/true, /*rot_own=*/false);
+  expect_sdc_recovery_bitwise(1, 1, /*rot_own=*/false);
 }
 TEST(SdcRecovery, BitflipRestoredBitwise4RanksSync) {
-  expect_sdc_recovery_bitwise(1, 2, /*overlap=*/false, /*rot_own=*/false);
-}
-TEST(SdcRecovery, BitflipRestoredBitwise4RanksOverlapped) {
-  expect_sdc_recovery_bitwise(1, 2, /*overlap=*/true, /*rot_own=*/false);
+  expect_sdc_recovery_bitwise(1, 2, /*rot_own=*/false);
 }
 TEST(SdcRecovery, BitflipRestoredBitwise8RanksSync) {
-  expect_sdc_recovery_bitwise(2, 2, /*overlap=*/false, /*rot_own=*/false);
-}
-TEST(SdcRecovery, BitflipRestoredBitwise8RanksOverlapped) {
-  expect_sdc_recovery_bitwise(2, 2, /*overlap=*/true, /*rot_own=*/false);
+  expect_sdc_recovery_bitwise(2, 2, /*rot_own=*/false);
 }
 
 TEST(SdcRecovery, OwnImageRotRefetchedDuringRestore) {
-  expect_sdc_recovery_bitwise(1, 2, /*overlap=*/false, /*rot_own=*/true);
+  expect_sdc_recovery_bitwise(1, 2, /*rot_own=*/true);
 }
 
 TEST(SdcRecovery, RotOnBothCopiesFallsBackToDiskRung) {
-  expect_sdc_recovery_bitwise(1, 2, /*overlap=*/false, /*rot_own=*/true,
+  expect_sdc_recovery_bitwise(1, 2, /*rot_own=*/true,
                               /*rot_holder=*/true);
 }
 

@@ -1,7 +1,7 @@
 /// \file equivalence.hpp
 /// Shared bitwise-trajectory-equivalence helpers for the cross-backend
-/// and cross-mode suites (RHS backends, overlapped stepping,
-/// rank-death recovery, config fuzzing).  One definition of "run this
+/// and fault suites (RHS backends, delayed deliveries, rank-death
+/// recovery, config fuzzing).  One definition of "run this
 /// config on pt×pp ranks per panel and hand me the gathered end state"
 /// and one definition of "these two runs are bitwise identical", so
 /// the suites cannot drift apart in what they compare.
@@ -10,9 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
+#include "comm/fault.hpp"
 #include "comm/runtime.hpp"
 #include "core/distributed_solver.hpp"
 
@@ -21,8 +24,7 @@ namespace yy::testsupport {
 /// The shared small-trajectory config: big enough to exercise both
 /// panels, halo + overset exchange and every RHS term (rotation,
 /// gravity, seeded B), small enough for a 10-step run per case under
-/// sanitizers.  Suites tweak fields (overlap, rhs_backend, scheme) on
-/// top of it.
+/// sanitizers.  Suites tweak fields (rhs_backend, scheme) on top of it.
 inline core::SimulationConfig small_trajectory_config() {
   core::SimulationConfig cfg;
   cfg.nr = 9;
@@ -48,13 +50,16 @@ struct RunResult {
 
 inline constexpr int kFieldIndices[] = {0, 1, 4, 5};  // rho, f_r, p, A_r
 
-/// Runs `cfg` for `steps` RK-steps on 2·pt·pp ranks (pt×pp per panel)
-/// and returns rank 0's gathered RunResult.
+/// Runs `cfg` for `steps` RK-steps on 2·pt·pp ranks (pt×pp per panel),
+/// with `plan` (if any) installed on the fabric, and returns rank 0's
+/// gathered RunResult.
 inline RunResult run_case(const core::SimulationConfig& cfg, int pt, int pp,
-                          int steps) {
+                          int steps,
+                          std::shared_ptr<comm::FaultPlan> plan = nullptr) {
   RunResult result;
   std::mutex mu;
   comm::Runtime rt(2 * pt * pp);
+  if (plan != nullptr) rt.install_fault_plan(std::move(plan));
   rt.run([&](comm::Communicator& w) {
     core::DistributedSolver solver(cfg, w, pt, pp);
     solver.initialize();

@@ -21,7 +21,7 @@ for mode in "${modes[@]}"; do
     -DYY_SANITIZE="${mode}" > /dev/null
   cmake --build "${build}" -j "$(nproc)" --target \
     test_comm test_core test_obs test_counters test_resilience test_sdc \
-    test_overlap test_rhs_simd test_config_fuzz > /dev/null
+    test_rhs_simd test_config_fuzz > /dev/null
   (cd "${build}" &&
     YY_COUNTERS=software ctest -L 'sanitize|resilience|sdc|counters' \
       --output-on-failure)
@@ -29,14 +29,13 @@ done
 
 # Scalar leg: the tree with -DYY_SIMD=OFF (no native ISA flags,
 # compiled_max_width() == 1) runs the production kernel at W=1 only, so
-# the kernel, overlap and recovery equivalence suites must stay bitwise
-# there too.
+# the kernel and recovery equivalence suites must stay bitwise there
+# too.
 build=build-nosimd
 echo "== YY_SIMD=OFF scalar kernel -> ${build} =="
 cmake -B "${build}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DYY_SIMD=OFF > /dev/null
 cmake --build "${build}" -j "$(nproc)" --target \
-  test_rhs_simd test_config_fuzz test_overlap test_resilience test_sdc \
-  > /dev/null
+  test_rhs_simd test_config_fuzz test_resilience test_sdc > /dev/null
 (cd "${build}" &&
-  ctest -L 'kernels|overlap|resilience|sdc' --output-on-failure)
+  ctest -L 'kernels|resilience|sdc' --output-on-failure)
