@@ -157,7 +157,6 @@ bool run_solver_bench(const std::string& out_dir, int steps) {
   const obs::MetricsSummary m = obs::collect_metrics(rec, rt.traffic_total());
   const double traced = m.traced_seconds();
   const double comp = m.phase(obs::Phase::rhs).seconds +
-                      m.phase(obs::Phase::rk4_stage).seconds +
                       m.phase(obs::Phase::boundary).seconds;
 
   double imbalance_sum = 0.0;

@@ -106,7 +106,7 @@ const char* compiled_isa();
 /// without mutating the process environment.
 int parse_width_override(const char* value, int max_width);
 
-/// The lane width compute_rhs_simd dispatches to: a test-forced width
+/// The lane width compute_stage_simd dispatches to: a test-forced width
 /// if set, else the YY_SIMD environment override (read once, cached),
 /// else compiled_max_width().
 int active_width();

@@ -11,23 +11,31 @@ Integrator::Integrator(TimeScheme scheme,
     : scheme_(scheme), backend_(backend), grids_(grids) {
   YY_REQUIRE(!grids.empty());
   for (const SphericalGrid* g : grids_) {
-    k_.emplace_back(*g);
-    if (scheme != TimeScheme::euler) stage_.emplace_back(*g);
-    if (scheme == TimeScheme::rk4) acc_.emplace_back(*g);
-    // Pre-grow the reference workspaces to the full patch; the pencil
-    // rings of the simd backend size themselves on first sweep.
-    if (backend_ == RhsBackend::reference) ws_.emplace_back(*g);
+    stage_a_.emplace_back(*g);
+    if (scheme == TimeScheme::rk4) {
+      stage_b_.emplace_back(*g);
+      acc_.emplace_back(*g);
+    }
+    // The reference backend evaluates the tendency into k_ and grows
+    // its workspaces to the full patch up front; the pencil rings of
+    // the simd backend size themselves on first sweep.
+    if (backend_ == RhsBackend::reference) {
+      k_.emplace_back(*g);
+      ws_.emplace_back(*g);
+    }
   }
   if (backend_ == RhsBackend::simd) pw_.resize(grids_.size());
 }
 
-void Integrator::eval_rhs(std::size_t i, const EquationParams& eq,
-                          const Fields& src) {
+void Integrator::stage(std::size_t i, const EquationParams& eq,
+                       const Fields& src, const StageUpdate& upd) {
+  YY_TRACE_SCOPE(obs::Phase::rhs);
+  const IndexBox in = grids_[i]->interior();
   if (backend_ == RhsBackend::simd) {
-    compute_rhs_simd(*grids_[i], eq, src, k_[i], pw_[i],
-                     grids_[i]->interior());
+    compute_stage_simd(*grids_[i], eq, src, upd, pw_[i], in);
   } else {
-    compute_rhs(*grids_[i], eq, src, k_[i], ws_[i], grids_[i]->interior());
+    compute_rhs(*grids_[i], eq, src, k_[i], ws_[i], in);
+    apply_stage_update(k_[i], upd, in);
   }
 }
 
@@ -52,109 +60,61 @@ void Integrator::step(const std::vector<PatchDef>& patches, double dt,
 void Integrator::step_euler(const std::vector<PatchDef>& patches, double dt,
                             const FillFn& fill) {
   const std::size_t n = patches.size();
-  std::vector<Fields*> state_ptrs(n);
+  std::vector<Fields*> y(n);
+  // y ← y + dt f(y), staged in stage_a_ (a stage never stores into the
+  // state it reads) and copied back.
   for (std::size_t i = 0; i < n; ++i) {
-    YY_TRACE_SCOPE(obs::Phase::rhs);
-    eval_rhs(i, patches[i].eq, *patches[i].state);
-    state_ptrs[i] = patches[i].state;
+    y[i] = patches[i].state;
+    stage(i, patches[i].eq, *y[i], {&stage_a_[i], y[i], dt});
   }
-  {
-    YY_TRACE_SCOPE(obs::Phase::rk4_stage);
-    for (std::size_t i = 0; i < n; ++i) patches[i].state->axpy(dt, k_[i]);
-  }
-  fill(state_ptrs);
+  for (std::size_t i = 0; i < n; ++i) y[i]->copy_from(stage_a_[i]);
+  fill(y);
 }
 
 void Integrator::step_rk2(const std::vector<PatchDef>& patches, double dt,
                           const FillFn& fill) {
   const std::size_t n = patches.size();
-  std::vector<Fields*> stage_ptrs(n), state_ptrs(n);
+  std::vector<Fields*> y(n), s(n);
   for (std::size_t i = 0; i < n; ++i) {
-    stage_ptrs[i] = &stage_[i];
-    state_ptrs[i] = patches[i].state;
+    y[i] = patches[i].state;
+    s[i] = &stage_a_[i];
   }
-  // Midpoint: k1 = f(y); y* = y + dt/2 k1; y ← y + dt f(y*).
-  for (std::size_t i = 0; i < n; ++i) {
-    {
-      YY_TRACE_SCOPE(obs::Phase::rhs);
-      eval_rhs(i, patches[i].eq, *patches[i].state);
-    }
-    YY_TRACE_SCOPE(obs::Phase::rk4_stage);
-    stage_[i].assign_axpy(*patches[i].state, dt / 2.0, k_[i]);
-  }
-  fill(stage_ptrs);
-  for (std::size_t i = 0; i < n; ++i) {
-    YY_TRACE_SCOPE(obs::Phase::rhs);
-    eval_rhs(i, patches[i].eq, stage_[i]);
-  }
-  {
-    YY_TRACE_SCOPE(obs::Phase::rk4_stage);
-    for (std::size_t i = 0; i < n; ++i) patches[i].state->axpy(dt, k_[i]);
-  }
-  fill(state_ptrs);
+  // Midpoint: y* = y + dt/2 f(y); y ← y + dt f(y*).
+  for (std::size_t i = 0; i < n; ++i)
+    stage(i, patches[i].eq, *y[i], {s[i], y[i], dt / 2.0});
+  fill(s);
+  for (std::size_t i = 0; i < n; ++i)
+    stage(i, patches[i].eq, *s[i], {y[i], y[i], dt});
+  fill(y);
 }
 
 void Integrator::step_rk4(const std::vector<PatchDef>& patches, double dt,
                           const FillFn& fill) {
   const std::size_t n = patches.size();
-  std::vector<Fields*> stage_ptrs(n), state_ptrs(n);
+  std::vector<Fields*> y(n), sa(n), sb(n);
   for (std::size_t i = 0; i < n; ++i) {
-    stage_ptrs[i] = &stage_[i];
-    state_ptrs[i] = patches[i].state;
+    y[i] = patches[i].state;
+    sa[i] = &stage_a_[i];
+    sb[i] = &stage_b_[i];
   }
-
-  // k_[i] = f(src[i]) over every patch's interior.
-  const auto rhs_all = [&](const std::vector<Fields*>& src) {
-    for (std::size_t i = 0; i < n; ++i) {
-      YY_TRACE_SCOPE(obs::Phase::rhs);
-      eval_rhs(i, patches[i].eq, *src[i]);
-    }
-  };
-
-  // Stage 1: k1 = f(y) (the incoming ghosts are valid).
-  rhs_all(state_ptrs);
-  {
-    YY_TRACE_SCOPE(obs::Phase::rk4_stage);
-    for (std::size_t i = 0; i < n; ++i) {
-      acc_[i].copy_from(*patches[i].state);
-      acc_[i].axpy(dt / 6.0, k_[i]);
-      stage_[i].assign_axpy(*patches[i].state, dt / 2.0, k_[i]);
-    }
-  }
-
-  // Stage 2: k2 = f(y + dt/2 k1).
-  fill(stage_ptrs);
-  rhs_all(stage_ptrs);
-  {
-    YY_TRACE_SCOPE(obs::Phase::rk4_stage);
-    for (std::size_t i = 0; i < n; ++i) {
-      acc_[i].axpy(dt / 3.0, k_[i]);
-      stage_[i].assign_axpy(*patches[i].state, dt / 2.0, k_[i]);
-    }
-  }
-
-  // Stage 3: k3 = f(y + dt/2 k2).
-  fill(stage_ptrs);
-  rhs_all(stage_ptrs);
-  {
-    YY_TRACE_SCOPE(obs::Phase::rk4_stage);
-    for (std::size_t i = 0; i < n; ++i) {
-      acc_[i].axpy(dt / 3.0, k_[i]);
-      stage_[i].assign_axpy(*patches[i].state, dt, k_[i]);
-    }
-  }
-
-  // Stage 4: k4 = f(y + dt k3); y ← acc + dt/6 k4.
-  fill(stage_ptrs);
-  rhs_all(stage_ptrs);
-  {
-    YY_TRACE_SCOPE(obs::Phase::rk4_stage);
-    for (std::size_t i = 0; i < n; ++i) {
-      patches[i].state->copy_from(acc_[i]);
-      patches[i].state->axpy(dt / 6.0, k_[i]);
-    }
-  }
-  fill(state_ptrs);
+  // k_s = f(stage s−1 state); the stages ping-pong y → sa → sb → sa → y
+  // while acc accumulates y + dt/6 k1 + dt/3 k2 + dt/3 k3.
+  for (std::size_t i = 0; i < n; ++i)
+    stage(i, patches[i].eq, *y[i],
+          {sa[i], y[i], dt / 2.0, &acc_[i], y[i], dt / 6.0});
+  fill(sa);
+  for (std::size_t i = 0; i < n; ++i)
+    stage(i, patches[i].eq, *sa[i],
+          {sb[i], y[i], dt / 2.0, &acc_[i], &acc_[i], dt / 3.0});
+  fill(sb);
+  for (std::size_t i = 0; i < n; ++i)
+    stage(i, patches[i].eq, *sb[i],
+          {sa[i], y[i], dt, &acc_[i], &acc_[i], dt / 3.0});
+  fill(sa);
+  // y ← acc + dt/6 k4.
+  for (std::size_t i = 0; i < n; ++i)
+    stage(i, patches[i].eq, *sa[i], {y[i], &acc_[i], dt / 6.0});
+  fill(y);
 }
 
 }  // namespace yy::mhd

@@ -13,6 +13,11 @@
 /// ghost data (physical walls, halo exchange, overset interpolation) on
 /// the stage states — the overset coupling is what forces the panels to
 /// advance together.
+///
+/// Every stage of every scheme is one RHS sweep that stores its stage
+/// update directly (StageUpdate, rhs.hpp) over the interior, followed
+/// by the fill: no tendency array and no separate stage algebra on the
+/// production path (DESIGN.md §11, "fused stage store").
 #pragma once
 
 #include <functional>
@@ -86,15 +91,19 @@ class Integrator {
   void step_rk4(const std::vector<PatchDef>& patches, double dt,
                 const FillFn& fill);
 
-  /// k_[i] = f(src) over patch i's interior via the selected backend.
-  void eval_rhs(std::size_t i, const EquationParams& eq, const Fields& src);
+  /// Applies `upd` with the tendency f(src) over patch i's interior
+  /// via the selected backend.
+  void stage(std::size_t i, const EquationParams& eq, const Fields& src,
+             const StageUpdate& upd);
 
   TimeScheme scheme_;
   RhsBackend backend_;
   std::vector<const SphericalGrid*> grids_;
-  std::vector<Fields> k_;      // stage derivative
-  std::vector<Fields> stage_;  // stage state (rk2, rk4)
-  std::vector<Fields> acc_;    // accumulated solution (rk4)
+  // Stage states, used alternately so a stage never stores into the
+  // state it reads: one set for euler/rk2, two for rk4.
+  std::vector<Fields> stage_a_, stage_b_;
+  std::vector<Fields> acc_;          // accumulated solution (rk4)
+  std::vector<Fields> k_;            // tendency (reference backend only)
   std::vector<Workspace> ws_;        // reference backend
   std::vector<PencilWorkspace> pw_;  // simd backend
 };

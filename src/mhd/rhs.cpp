@@ -158,4 +158,32 @@ void compute_rhs(const SphericalGrid& g, const EquationParams& eq,
   flops::add(static_cast<std::uint64_t>(box.volume()) * kFlopsPointwiseCombine);
 }
 
+void apply_stage_update(const Fields& k, const StageUpdate& upd,
+                        const IndexBox& box) {
+  YY_REQUIRE(upd.well_formed());
+  const auto kf = k.all();
+  const auto out = upd.out->all();
+  for (int f = 0; f < Fields::kNumFields; ++f) {
+    const Field3& v = *kf[f];
+    Field3& o = *out[f];
+    if (upd.acc != nullptr) {
+      Field3& acc = *upd.acc->all()[f];
+      const Field3& ab = *upd.acc_base->all()[f];
+      for_box(box, [&](int ir, int it, int ip) {
+        acc(ir, it, ip) = ab(ir, it, ip) + upd.b * v(ir, it, ip);
+      });
+    }
+    if (upd.base == nullptr) {
+      for_box(box, [&](int ir, int it, int ip) { o(ir, it, ip) = v(ir, it, ip); });
+    } else {
+      const Field3& base = *upd.base->all()[f];
+      for_box(box, [&](int ir, int it, int ip) {
+        o(ir, it, ip) = base(ir, it, ip) + upd.a * v(ir, it, ip);
+      });
+    }
+  }
+  flops::add(static_cast<std::uint64_t>(box.volume()) * upd.updates() *
+             kFlopsStageUpdate);
+}
+
 }  // namespace yy::mhd

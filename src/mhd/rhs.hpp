@@ -13,13 +13,15 @@
 /// of the scalar/vector primitives in grid/fd_ops.hpp.
 ///
 /// Two backends evaluate the same arithmetic (DESIGN.md §11):
-///  * compute_rhs_simd — the production kernel: one cache-blocked sweep
-///    over φ with rolling pencil rings of derived-field planes and
+///  * compute_stage_simd — the production kernel: one cache-blocked
+///    sweep over φ with rolling pencil rings of derived-field planes and
 ///    radial-innermost loops widened to W-lane packs (W = 1 is the
-///    scalar sweep); the working set is O(depth·Nr·Nt).
+///    scalar sweep); the working set is O(depth·Nr·Nt).  It stores each
+///    tendency straight into a Runge-Kutta stage update (StageUpdate).
 ///  * compute_rhs — the reference operator-at-a-time chain: one fd::*
 ///    pass per operator with box-sized scratch.  Simple, auditable, the
-///    oracle the equivalence tests compare against.
+///    oracle the equivalence tests compare against; apply_stage_update
+///    is its stage update.
 /// Both run the same per-point expression trees (grid/fd_stencils.hpp),
 /// so the results are bitwise identical (no FMA contraction).
 ///
@@ -114,27 +116,82 @@ struct PencilWorkspace {
 /// 7 of depth 3); the footprint test's accounting constant.
 inline constexpr int kPencilPlanes = 4 * 5 + 7 * 3;
 
-/// The simd backend: same contract and bitwise-identical result as
-/// compute_rhs (see file comment), evaluated in one rolling-pencil
-/// sweep over φ whose radial inner loops run `width`-lane packs
-/// (common/simd.hpp) plus a width-1 tail for the remainder points.
-/// Per-point expression trees are the shared grid/fd_stencils.hpp
-/// templates, instantiated over lane packs (strictly elementwise, FMA
-/// contraction pinned off) or, at width 1, over the scalar accessors —
-/// so the result is bitwise identical to the reference chain for every
-/// width.  Charges the same flop count and additionally records lane
+/// One Runge-Kutta stage update, applied where a tendency v = f(src)
+/// is stored.  Per point of the box and per field F:
+///
+///   acc.F = acc_base.F + b·v      (only when acc is set)
+///   out.F = base.F + a·v          (out.F = v when base is null)
+///
+/// — a multiply and an add per element, each rounded (no FMA), so the
+/// fused store and apply_stage_update agree bitwise.  Only the box is
+/// written; the caller's ghost fill re-establishes everything else.
+/// acc is written before base is read, so acc must not alias base or
+/// out; the sweep reads src planes ahead of the one it stores, so out
+/// and acc must not alias src either.  out may alias base and acc may
+/// alias acc_base (in-place updates).
+struct StageUpdate {
+  Fields* out = nullptr;
+  const Fields* base = nullptr;
+  double a = 0.0;
+  Fields* acc = nullptr;
+  const Fields* acc_base = nullptr;
+  double b = 0.0;
+
+  /// out is set, and acc (if set) has a base and aliases neither
+  /// out nor base.
+  bool well_formed() const {
+    return out != nullptr &&
+           (acc == nullptr ||
+            (acc_base != nullptr && acc != out && acc != base));
+  }
+  /// x + a·y updates per point: out unless a plain store, plus acc.
+  int updates() const {
+    return (base != nullptr ? 1 : 0) + (acc != nullptr ? 1 : 0);
+  }
+};
+
+/// Flops one x + a·y update charges per grid point (all eight fields).
+inline constexpr int kFlopsStageUpdate = 2 * Fields::kNumFields;
+
+/// The reference backend's stage update: applies `upd` over `box` with
+/// the tendency `k` (as computed by compute_rhs), in a scalar loop.
+/// The oracle for compute_stage_simd's fused store; charges
+/// kFlopsStageUpdate per point for each of out and acc that is updated
+/// (a plain store, base null, is free).
+void apply_stage_update(const Fields& k, const StageUpdate& upd,
+                        const IndexBox& box);
+
+/// The simd backend: compute_rhs followed by apply_stage_update over
+/// `box`, bitwise, evaluated in one rolling-pencil sweep over φ whose
+/// radial inner loops run `width`-lane packs (common/simd.hpp) plus a
+/// width-1 tail for the remainder points; each tendency goes straight
+/// into the update and is never stored on its own.  Per-point
+/// expression trees are the shared grid/fd_stencils.hpp templates,
+/// instantiated over lane packs (strictly elementwise, FMA contraction
+/// pinned off) or, at width 1, over the scalar accessors — so the
+/// result is bitwise identical to the reference chain for every width.
+/// Charges the same flop count and additionally records lane
 /// statistics (simd::lane_stats_add), the measured counterpart of the
-/// ES model's vector columns.  `width` must be 1, 2, 4, or 8.
+/// ES model's vector columns.  `width` must be 1, 2, 4, or 8; `src`
+/// must hold valid data on box.grown(2) and must not be upd.out or
+/// upd.acc.
+void compute_stage_simd_width(int width, const SphericalGrid& g,
+                              const EquationParams& eq, const Fields& src,
+                              const StageUpdate& upd, PencilWorkspace& pw,
+                              const IndexBox& box);
+
+/// compute_stage_simd_width at simd::active_width() — what the
+/// integrator calls when RhsBackend::simd is selected.
+void compute_stage_simd(const SphericalGrid& g, const EquationParams& eq,
+                        const Fields& src, const StageUpdate& upd,
+                        PencilWorkspace& pw, const IndexBox& box);
+
+/// The bare tendency through the same sweep (a StageUpdate with only
+/// `out` set): same contract and bitwise result as compute_rhs.
 void compute_rhs_simd_width(int width, const SphericalGrid& g,
                             const EquationParams& eq, const Fields& state,
                             Fields& rhs, PencilWorkspace& pw,
                             const IndexBox& box);
-
-/// compute_rhs_simd_width at simd::active_width() — what the
-/// integrators call when RhsBackend::simd is selected.
-void compute_rhs_simd(const SphericalGrid& g, const EquationParams& eq,
-                      const Fields& state, Fields& rhs, PencilWorkspace& pw,
-                      const IndexBox& box);
 
 /// Pointwise-combination flop cost per grid point (the FD operators
 /// charge separately); documented for the perf model's cross-check.

@@ -1,9 +1,11 @@
 /// \file rhs_simd.cpp
 /// The production RHS kernel: one rolling-pencil sweep over φ evaluating
 /// all eight tendencies per point, with its radial inner loops widened
-/// to W-lane packs (common/simd.hpp) plus a width-1 remainder tail.
-/// Bitwise identical to the reference operator-at-a-time chain in
-/// rhs.cpp (see DESIGN.md §11).
+/// to W-lane packs (common/simd.hpp) plus a width-1 remainder tail, and
+/// each tendency stored straight into the Runge-Kutta stage update
+/// (StageUpdate, rhs.hpp).  Bitwise identical to the reference
+/// operator-at-a-time chain plus apply_stage_update in rhs.cpp (see
+/// DESIGN.md §11).
 ///
 /// Sweep structure — for each output plane ip the stencils need
 ///  * v and T two φ layers out (second-order composites differentiate
@@ -32,6 +34,8 @@
 /// This TU is compiled with the native ISA flags (see src/mhd/
 /// CMakeLists.txt) so the packs lower to real vector instructions; the
 /// rest of the tree keeps the portable baseline flags.
+#include <array>
+
 #include "common/error.hpp"
 #include "common/flops.hpp"
 #include "common/simd.hpp"
@@ -68,11 +72,15 @@ struct SweepCtx {
   const SphericalGrid& g;
   const EquationParams& eq;
   const Fields& state;
-  Fields& rhs;
   PencilWorkspace& pw;
   IndexBox box, e2, e1;
   double c_r, c_t, c_p, irr, itt, ipp;
   double c43, gm1, cstr;
+  // The StageUpdate resolved per field (Fields::all() order); null
+  // base / acc entries mean a plain store / no accumulator.
+  std::array<Field3*, Fields::kNumFields> out{}, acc{};
+  std::array<const Field3*, Fields::kNumFields> base{}, acc_base{};
+  double a = 0.0, b = 0.0;
 };
 
 /// Every ring of the workspace resolved at one φ plane
@@ -119,6 +127,22 @@ inline void put(simd::Pack<W> v, double* p) {
   v.store(p);
 }
 
+/// Stores tendency v of field f (Fields::all() index) at lanes
+/// ir…ir+W−1 of plane ip: the StageUpdate expressions of rhs.hpp, acc
+/// before out.
+template <int W, class V>
+inline void store(const SweepCtx& c, int f, const V& v, int ir, int it,
+                  int ip) {
+  using A = Access<W>;
+  if (c.acc[f] != nullptr)
+    put(A::field(*c.acc_base[f])(ir, it, ip) + c.b * v,
+        &(*c.acc[f])(ir, it, ip));
+  if (c.base[f] != nullptr)
+    put(A::field(*c.base[f])(ir, it, ip) + c.a * v, &(*c.out[f])(ir, it, ip));
+  else
+    put(v, &(*c.out[f])(ir, it, ip));
+}
+
 /// v = f/ρ, T = p/ρ at lanes ir…ir+W−1 of plane q (fill_vt body).
 template <int W>
 inline void vt_point(const SweepCtx& c, const Planes& w, int ir, int it,
@@ -155,7 +179,8 @@ inline void derived_point(const SweepCtx& c, const Planes& w, int ir,
 }
 
 /// All eight tendencies at lanes ir…ir+W−1 of output plane ip, in the
-/// reference chain's accumulation order (combine body).
+/// reference chain's accumulation order, each handed to store()
+/// (combine body).
 template <int W>
 inline void combine_point(const SweepCtx& c, const Planes& w, int ir,
                           int it, int ip, double st, double ct) {
@@ -171,11 +196,10 @@ inline void combine_point(const SweepCtx& c, const Planes& w, int ir,
              &Cr = A::ring(w.cvr), &Ct = A::ring(w.cvt),
              &Cp = A::ring(w.cvp);
   const double c_r = c.c_r, c_t = c.c_t, c_p = c.c_p;
-  Fields& rhs = c.rhs;
 
   // --- eq. (2): ∂ρ/∂t = −∇·f -----------------------------------
-  put(-fd::div_point(g, Sfr, Sft, Sfp, c_r, c_t, c_p, ir, it, ip),
-      &rhs.rho(ir, it, ip));
+  store<W>(c, 0, -fd::div_point(g, Sfr, Sft, Sfp, c_r, c_t, c_p, ir, it, ip),
+           ir, it, ip);
 
   // --- eq. (3): momentum ---------------------------------------
   const auto dvf = fd::div_vf_point(g, Vr, Vt, Vp, Sfr, Sft, Sfp, c_r, c_t,
@@ -212,9 +236,9 @@ inline void combine_point(const SweepCtx& c, const Planes& w, int ir,
             2.0 * rho * (vtc * o_p - vpc * o_t);
   ft_acc += (jpc * brc - jrc * bpc) + 2.0 * rho * (vpc * o_r - vrc * o_p);
   fp_acc += (jrc * btc - jtc * brc) + 2.0 * rho * (vrc * o_t - vtc * o_r);
-  put(fr_acc, &rhs.fr(ir, it, ip));
-  put(ft_acc, &rhs.ft(ir, it, ip));
-  put(fp_acc, &rhs.fp(ir, it, ip));
+  store<W>(c, 1, fr_acc, ir, it, ip);
+  store<W>(c, 2, ft_acc, ir, it, ip);
+  store<W>(c, 3, fp_acc, ir, it, ip);
 
   // --- eq. (4): pressure ---------------------------------------
   const auto adv =
@@ -225,12 +249,12 @@ inline void combine_point(const SweepCtx& c, const Planes& w, int ir,
   auto p_acc = -adv - eq.gamma * Sp(ir, it, ip) * Dv(ir, it, ip) +
                c.gm1 * (eq.kappa * lap + eq.eta * j2);
   p_acc += c.cstr * fd::strain_point(g, Vr, Vt, Vp, c_r, c_t, c_p, ir, it, ip);
-  put(p_acc, &rhs.p(ir, it, ip));
+  store<W>(c, 4, p_acc, ir, it, ip);
 
   // --- eq. (5): ∂A/∂t = −E = v×B − ηj --------------------------
-  put((vtc * bpc - vpc * btc) - eq.eta * jrc, &rhs.ar(ir, it, ip));
-  put((vpc * brc - vrc * bpc) - eq.eta * jtc, &rhs.at(ir, it, ip));
-  put((vrc * btc - vtc * brc) - eq.eta * jpc, &rhs.ap(ir, it, ip));
+  store<W>(c, 5, (vtc * bpc - vpc * btc) - eq.eta * jrc, ir, it, ip);
+  store<W>(c, 6, (vpc * brc - vrc * bpc) - eq.eta * jtc, ir, it, ip);
+  store<W>(c, 7, (vrc * btc - vtc * brc) - eq.eta * jpc, ir, it, ip);
 }
 
 /// The rolling sweep at pack width W (plane schedule in the file
@@ -279,11 +303,15 @@ template <int W>
 
 }  // namespace
 
-void compute_rhs_simd_width(int width, const SphericalGrid& g,
-                            const EquationParams& eq, const Fields& state,
-                            Fields& rhs, PencilWorkspace& pw,
-                            const IndexBox& box) {
+void compute_stage_simd_width(int width, const SphericalGrid& g,
+                              const EquationParams& eq, const Fields& state,
+                              const StageUpdate& upd, PencilWorkspace& pw,
+                              const IndexBox& box) {
   YY_REQUIRE(width == 1 || width == 2 || width == 4 || width == 8);
+  YY_REQUIRE(upd.well_formed());
+  // The sweep still reads `state` planes up to ip+2 after storing plane
+  // ip, so nothing it stores may be `state`.
+  YY_REQUIRE(upd.out != &state && upd.acc != &state);
   if (box.volume() == 0) return;
   const IndexBox e2 = box.grown(2);
   const IndexBox e1 = box.grown(1);
@@ -299,7 +327,6 @@ void compute_rhs_simd_width(int width, const SphericalGrid& g,
   SweepCtx c{g,
              eq,
              state,
-             rhs,
              pw,
              box,
              e2,
@@ -313,6 +340,14 @@ void compute_rhs_simd_width(int width, const SphericalGrid& g,
              4.0 / 3.0 * eq.mu,
              eq.gamma - 1.0,
              (eq.gamma - 1.0) * 2.0 * eq.mu};
+  c.out = upd.out->all();
+  if (upd.base != nullptr) c.base = upd.base->all();
+  if (upd.acc != nullptr) {
+    c.acc = upd.acc->all();
+    c.acc_base = upd.acc_base->all();
+  }
+  c.a = upd.a;
+  c.b = upd.b;
 
   switch (width) {
     case 8:
@@ -352,23 +387,31 @@ void compute_rhs_simd_width(int width, const SphericalGrid& g,
             static_cast<std::uint64_t>(box.r1 - box.r0));
   simd::lane_stats_add(stats);
 
-  // Identical charge to the reference chain, term for term: v/T over
-  // box.grown(2); B, ∇·v, ∇×v over box.grown(1); every remaining
-  // operator (including the on-the-fly j = ∇×B) over box.  The lanes
-  // change how the points are traversed, not how many ops each costs.
+  // Identical charge to compute_rhs + apply_stage_update, term for
+  // term: v/T over box.grown(2); B, ∇·v, ∇×v over box.grown(1); every
+  // remaining operator (including the on-the-fly j = ∇×B) and the stage
+  // update over box.  The lanes change how the points are traversed,
+  // not how many ops each costs.
   flops::add(vol(e2) * kFlopsVelTemp +
              vol(e1) * (2 * fd::kFlopsCurl + fd::kFlopsDiv) +
              vol(box) *
                  (fd::kFlopsCurl + fd::kFlopsDiv + fd::kFlopsDivVf +
                   2 * fd::kFlopsGrad + fd::kFlopsCurl + fd::kFlopsAdvect +
                   fd::kFlopsLaplacian + fd::kFlopsStrain +
-                  kFlopsPointwiseCombine));
+                  kFlopsPointwiseCombine + upd.updates() * kFlopsStageUpdate));
 }
 
-void compute_rhs_simd(const SphericalGrid& g, const EquationParams& eq,
-                      const Fields& state, Fields& rhs, PencilWorkspace& pw,
-                      const IndexBox& box) {
-  compute_rhs_simd_width(simd::active_width(), g, eq, state, rhs, pw, box);
+void compute_stage_simd(const SphericalGrid& g, const EquationParams& eq,
+                        const Fields& src, const StageUpdate& upd,
+                        PencilWorkspace& pw, const IndexBox& box) {
+  compute_stage_simd_width(simd::active_width(), g, eq, src, upd, pw, box);
+}
+
+void compute_rhs_simd_width(int width, const SphericalGrid& g,
+                            const EquationParams& eq, const Fields& state,
+                            Fields& rhs, PencilWorkspace& pw,
+                            const IndexBox& box) {
+  compute_stage_simd_width(width, g, eq, state, StageUpdate{&rhs}, pw, box);
 }
 
 }  // namespace yy::mhd

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "common/flops.hpp"
 
 namespace yy::mhd {
 
@@ -32,33 +31,6 @@ void Fields::copy_from(const Fields& src) {
   for (int i = 0; i < kNumFields; ++i)
     std::copy(s[i]->flat().begin(), s[i]->flat().end(),
               dst[i]->flat().begin());
-}
-
-void Fields::axpy(double a, const Fields& x) {
-  auto dst = all();
-  auto s = x.all();
-  for (int i = 0; i < kNumFields; ++i) YY_REQUIRE(dst[i]->same_shape(*s[i]));
-  for (int i = 0; i < kNumFields; ++i) {
-    auto d = dst[i]->flat();
-    auto v = s[i]->flat();
-    for (std::size_t k = 0; k < d.size(); ++k) d[k] += a * v[k];
-  }
-  flops::add(2ull * kNumFields * rho.size());
-}
-
-void Fields::assign_axpy(const Fields& base, double a, const Fields& x) {
-  auto dst = all();
-  auto b = base.all();
-  auto s = x.all();
-  for (int i = 0; i < kNumFields; ++i)
-    YY_REQUIRE(dst[i]->same_shape(*s[i]) && dst[i]->same_shape(*b[i]));
-  for (int i = 0; i < kNumFields; ++i) {
-    auto d = dst[i]->flat();
-    auto bb = b[i]->flat();
-    auto v = s[i]->flat();
-    for (std::size_t k = 0; k < d.size(); ++k) d[k] = bb[k] + a * v[k];
-  }
-  flops::add(2ull * kNumFields * rho.size());
 }
 
 void Fields::set_zero() {

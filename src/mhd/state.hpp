@@ -29,12 +29,6 @@ class Fields {
   /// this = src (shapes must match).
   void copy_from(const Fields& src);
 
-  /// this += a * x  (the RK4 state algebra; charges flops).
-  void axpy(double a, const Fields& x);
-
-  /// this = base + a * x.
-  void assign_axpy(const Fields& base, double a, const Fields& x);
-
   void set_zero();
 };
 

@@ -11,9 +11,9 @@ namespace {
 // new phase cannot compile without a name (see kNumPhases assert in
 // trace.hpp for the matching count-side pin).
 constexpr const char* kPhaseNames[] = {
-    "rhs",           "rk4_stage", "halo_wait", "overset_wait",
-    "boundary",      "reduce",    "io",        "shrink",
-    "buddy_restore", "sdc_audit", "scrub",     "other",
+    "rhs",       "halo_wait", "overset_wait", "boundary",
+    "reduce",    "io",        "shrink",       "buddy_restore",
+    "sdc_audit", "scrub",     "other",
 };
 static_assert(std::size(kPhaseNames) == static_cast<std::size_t>(kNumPhases),
               "phase_name table and kNumPhases are out of sync");

@@ -18,9 +18,9 @@
 ///    binding.  Unbound threads pay one branch per scope and record
 ///    nothing, so instrumented library code is free when tracing is off.
 ///  * Phase spans are *leaf-level and mutually non-overlapping* per
-///    rank: instrumentation wraps disjoint segments of the step (the
-///    rhs evaluation, the linear-algebra stage update, each exchange,
-///    ...), never an enclosing region, so exporters and tests may rely
+///    rank: instrumentation wraps disjoint segments of the step (each
+///    stage's rhs sweep with its fused update, each exchange, ...),
+///    never an enclosing region, so exporters and tests may rely
 ///    on per-thread span monotonicity.
 ///  * Compiling with -DYY_TRACE_LEVEL=0 replaces every scope with an
 ///    empty `NullPhaseScope`, removing the instrumentation entirely.
@@ -43,8 +43,7 @@ namespace yy::obs {
 /// Span taxonomy (see DESIGN.md "Observability").  Keep phase_name()
 /// and kNumPhases in sync.
 enum class Phase : int {
-  rhs = 0,       ///< compute_rhs stencil evaluation
-  rk4_stage,     ///< integrator linear algebra (axpy/copy of a stage)
+  rhs = 0,       ///< one integrator stage: RHS sweep + fused stage update
   halo_wait,     ///< intra-panel halo exchange (pack+send+wait+unpack)
   overset_wait,  ///< inter-panel overset interpolation exchange
   boundary,      ///< physical wall values and radial ghost fill
@@ -57,7 +56,7 @@ enum class Phase : int {
   other,         ///< anything else worth a span
 };
 
-inline constexpr int kNumPhases = 12;
+inline constexpr int kNumPhases = 11;
 
 // A new Phase must bump kNumPhases (and the name table in trace.cpp,
 // whose size is pinned by its own static_assert) before it compiles.

@@ -183,10 +183,10 @@ std::vector<PhaseDriftRow> phase_drift(const obs::MetricsSummary& m,
   const double traced = m.traced_seconds();
 
   // Measured shares of the traced step time; the model's comparable
-  // buckets are compute (rhs + stage update + boundary), halo and
-  // overset.  reduce/io are outside the model's step decomposition.
+  // buckets are compute (rhs, which includes the fused stage update,
+  // + boundary), halo and overset.  reduce/io are outside the model's
+  // step decomposition.
   const double meas_comp = m.phase(obs::Phase::rhs).seconds +
-                           m.phase(obs::Phase::rk4_stage).seconds +
                            m.phase(obs::Phase::boundary).seconds;
   const struct {
     const char* label;

@@ -77,7 +77,7 @@ TEST(Integrator, SchemesConvergeToSameTrajectory) {
   EXPECT_NEAR(probe_after(TimeScheme::rk2, 64, T), ref, 1e-7);
 }
 
-TEST(Integrator, EulerNeedsNoExtraStageStorage) {
+TEST(Integrator, EulerStepsStayFinite) {
   core::SimulationConfig cfg = order_config(TimeScheme::euler);
   core::SerialYinYangSolver s(cfg);
   s.initialize();

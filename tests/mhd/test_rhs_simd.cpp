@@ -13,12 +13,16 @@
 ///    boxes, and remainder tails — grid n=6 has a radial extent of 2,
 ///    so W=4/8 run all-tail rows and W=2 runs exactly one pack; n=9
 ///    (extent 5) and n=14 (extent 10) mix packs and tails.
+///  * Fused stage store vs compute_rhs + apply_stage_update, bitwise,
+///    for every update form (with and without an accumulator, in-place
+///    accumulator, out == base, plain store), on the same grids and
+///    shell tilings; out or acc aliasing the source is rejected.
 ///  * Identical flop charge and analytic lane-statistics accounting.
 ///  * Manufactured-solution 2nd-order convergence through the sweep at
 ///    width 1 and at the compiled max width.
-///  * 10-step RK4 trajectories at 1/2/4 ranks per panel, at widths
-///    {1, 2, compiled max} (the scalar sweep plus at least two lane
-///    widths on any x86-64 build).
+///  * 10-step RK4 trajectories (fused simd vs reference integrator) at
+///    1/2/4 ranks per panel, at widths {1, 2, compiled max} (the scalar
+///    sweep plus at least two lane widths on any x86-64 build).
 #include "mhd/rhs.hpp"
 
 #include <gtest/gtest.h>
@@ -246,10 +250,122 @@ TEST_P(SimdSweep, ShellTilingMatchesReferenceBitwise) {
   }
 }
 
+/// Distinct, position-dependent values in every cell (ghosts included)
+/// so a misplaced, missing or out-of-box store shows.
+void fill_pattern(Fields& s, double scale) {
+  int f = 0;
+  for (Field3* x : s.all()) {
+    auto d = x->flat();
+    for (std::size_t k = 0; k < d.size(); ++k)
+      d[k] = scale * (1.0 + 0.37 * f + 1e-3 * static_cast<double>(k));
+    ++f;
+  }
+}
+
+/// The StageUpdate forms: the ones Integrator uses, plus the plain
+/// store behind compute_rhs_simd_width.
+enum class Form {
+  both,          ///< rk4 stage 1: out and acc from separate bases
+  acc_in_place,  ///< rk4 stages 2-3: acc_base == acc
+  no_acc,        ///< rk4 stage 4, euler, rk2 stage 1
+  out_is_base,   ///< rk2 stage 2: out == base
+  plain,         ///< out = v
+};
+constexpr Form kForms[] = {Form::both, Form::acc_in_place, Form::no_acc,
+                           Form::out_is_base, Form::plain};
+
+/// x + a·y updates each form charges per point.
+std::uint64_t charged_updates(Form f) {
+  switch (f) {
+    case Form::both:
+    case Form::acc_in_place: return 2;
+    case Form::no_acc:
+    case Form::out_is_base: return 1;
+    case Form::plain: return 0;
+  }
+  return 0;
+}
+
+/// One set of update targets, every cell pre-filled.
+struct StageTargets {
+  Fields out, acc, base, acc_base;
+  explicit StageTargets(const SphericalGrid& g)
+      : out(g), acc(g), base(g), acc_base(g) {
+    fill_pattern(out, 7.0);
+    fill_pattern(acc, -9.0);
+    fill_pattern(base, 2.0);
+    fill_pattern(acc_base, 3.0);
+  }
+  StageUpdate update(Form f) {
+    const double a = 0.125, b = 1.0 / 3.0;
+    switch (f) {
+      case Form::both: return {&out, &base, a, &acc, &acc_base, b};
+      case Form::acc_in_place: return {&out, &base, a, &acc, &acc, b};
+      case Form::no_acc: return {&out, &base, a};
+      case Form::out_is_base: return {&out, &out, a};
+      case Form::plain: return {&out};
+    }
+    return {};
+  }
+};
+
+IndexBox whole(const SphericalGrid& g) {
+  return {0, g.Nr(), 0, g.Nt(), 0, g.Np()};
+}
+
+TEST_P(SimdSweep, StageStoreMatchesReferenceUpdateBitwiseAtEveryWidth) {
+  // The fused store must equal compute_rhs followed by the reference
+  // update loop bit for bit — interior stores and untouched ghosts —
+  // over the full interior and over a shell tiling of it.
+  const SphericalGrid g = test_grid(GetParam());
+  const EquationParams eq = test_eq();
+  Fields s(g);
+  fill_smooth(g, s);
+  Fields k(g);
+  Workspace ws;
+  compute_rhs(g, eq, s, k, ws, g.interior());
+
+  for (Form form : kForms) {
+    SCOPED_TRACE(static_cast<int>(form));
+    StageTargets ref(g);
+    apply_stage_update(k, ref.update(form), g.interior());
+    for (int w : kWidths) {
+      SCOPED_TRACE(w);
+      for (bool tiled : {false, true}) {
+        SCOPED_TRACE(tiled ? "shell tiling" : "full interior");
+        StageTargets fused(g);
+        PencilWorkspace pw;
+        const std::vector<IndexBox> boxes =
+            tiled ? shell_tiling(g.interior(), g.ghost())
+                  : std::vector<IndexBox>{g.interior()};
+        for (const IndexBox& b : boxes)
+          compute_stage_simd_width(w, g, eq, s, fused.update(form), pw, b);
+        expect_fields_bitwise(ref.out, fused.out, whole(g));
+        expect_fields_bitwise(ref.acc, fused.acc, whole(g));
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(GridSizes, SimdSweep, ::testing::Values(6, 9, 14));
 
+TEST(SimdStageDeathTest, RejectsAStoreIntoTheSource) {
+  // The sweep reads source planes up to ip+2 after storing plane ip, so
+  // neither out nor acc may be the source.  YY_REQUIRE aborts.
+  const SphericalGrid g = test_grid(6);
+  const EquationParams eq = test_eq();
+  Fields s(g), other(g);
+  fill_smooth(g, s);
+  PencilWorkspace pw;
+  EXPECT_DEATH(compute_stage_simd(g, eq, s, {&s, &s, 0.5}, pw, g.interior()),
+               "precondition");
+  EXPECT_DEATH(compute_stage_simd(g, eq, s, {&other, &s, 0.5, &s, &s, 0.5},
+                                  pw, g.interior()),
+               "precondition");
+}
+
 TEST(SimdRhs, ActiveWidthDispatchMatchesExplicitWidth) {
-  // compute_rhs_simd (what the integrators call) must be exactly the
+  // compute_stage_simd (what the integrator calls) must be exactly the
   // forced-width sweep.
   const SphericalGrid g = test_grid(9);
   const EquationParams eq = test_eq();
@@ -258,13 +374,16 @@ TEST(SimdRhs, ActiveWidthDispatchMatchesExplicitWidth) {
 
   for (int w : kWidths) {
     SCOPED_TRACE(w);
-    Fields direct(g), dispatched(g);
+    StageTargets direct(g), dispatched(g);
     PencilWorkspace pw1, pw2;
-    compute_rhs_simd_width(w, g, eq, s, direct, pw1, g.interior());
+    compute_stage_simd_width(w, g, eq, s, direct.update(Form::both), pw1,
+                             g.interior());
     simd::force_active_width(w);
-    compute_rhs_simd(g, eq, s, dispatched, pw2, g.interior());
+    compute_stage_simd(g, eq, s, dispatched.update(Form::both), pw2,
+                       g.interior());
     simd::force_active_width(0);
-    expect_fields_bitwise(direct, dispatched, g.interior());
+    expect_fields_bitwise(direct.out, dispatched.out, whole(g));
+    expect_fields_bitwise(direct.acc, dispatched.acc, whole(g));
   }
 }
 
@@ -292,6 +411,22 @@ TEST(SimdRhs, ChargesIdenticalFlopsPerBoxAtEveryWidth) {
       EXPECT_EQ(flops::global_count(), ref_count)
           << "width " << w << " box [" << b.r0 << "," << b.r1 << ")x[" << b.t0
           << "," << b.t1 << ")x[" << b.p0 << "," << b.p1 << ")";
+    }
+    // The fused store charges what compute_rhs + apply_stage_update do:
+    // kFlopsStageUpdate per box point for each of out and acc.
+    for (Form form : kForms) {
+      StageTargets t(g);
+      flops::global_reset();
+      apply_stage_update(out, t.update(form), b);
+      const auto upd_count = flops::global_count();
+      EXPECT_EQ(upd_count, static_cast<std::uint64_t>(b.volume()) *
+                               kFlopsStageUpdate * charged_updates(form));
+      for (int w : kWidths) {
+        flops::global_reset();
+        compute_stage_simd_width(w, g, eq, s, t.update(form), pw, b);
+        EXPECT_EQ(flops::global_count(), ref_count + upd_count)
+            << "form " << static_cast<int>(form) << " width " << w;
+      }
     }
   }
 }
@@ -355,7 +490,7 @@ TEST(SimdRhs, LaneStatsAccountForPacksAndTails) {
 // ---------------------------------------------------------------------
 // Manufactured-solution convergence through the pencil sweep: the same
 // second-order slopes tests/grid/test_fd_convergence.cpp pins for the
-// standalone operators, measured on compute_rhs_simd outputs at the
+// standalone operators, measured on compute_rhs_simd_width outputs at the
 // active width (the test sets it to 1 and to the compiled max).
 // ---------------------------------------------------------------------
 
@@ -380,7 +515,8 @@ double pressure_diffusion_error_simd(int n) {
   testutil::fill_scalar(g, s.rho, [](const Vec3&) { return 1.0; });
   testutil::fill_scalar(g, s.p, [](const Vec3& x) { return 4.0 + wavy(x); });
   PencilWorkspace pw;
-  compute_rhs_simd(g, eq, s, rhs, pw, g.interior());
+  compute_rhs_simd_width(simd::active_width(), g, eq, s, rhs, pw,
+                         g.interior());
   const double gm1 = eq.gamma - 1.0;
   return testutil::max_error(g, rhs.p, g.interior(),
                              [&](int ir, int it, int ip) {
@@ -398,7 +534,8 @@ double continuity_error_simd(int n) {
   testutil::fill_scalar(g, s.p, [](const Vec3&) { return 1.0; });
   testutil::fill_vector(g, s.fr, s.ft, s.fp, wavy_vec);
   PencilWorkspace pw;
-  compute_rhs_simd(g, eq, s, rhs, pw, g.interior());
+  compute_rhs_simd_width(simd::active_width(), g, eq, s, rhs, pw,
+                         g.interior());
   return testutil::max_error(g, rhs.rho, g.interior(),
                              [](int, int, int) { return 0.0; });
 }
@@ -414,7 +551,8 @@ double induction_error_simd(int n) {
   testutil::fill_scalar(g, s.p, [](const Vec3&) { return 1.0; });
   testutil::fill_vector(g, s.ar, s.at, s.ap, wavy_vec);
   PencilWorkspace pw;
-  compute_rhs_simd(g, eq, s, rhs, pw, g.interior());
+  compute_rhs_simd_width(simd::active_width(), g, eq, s, rhs, pw,
+                         g.interior());
   double err = 0.0;
   for_box(g.interior(), [&](int ir, int it, int ip) {
     const Vec3 e = testutil::to_spherical(

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/flops.hpp"
+#include "mhd/rhs.hpp"
+
 namespace yy::mhd {
 namespace {
 
@@ -50,28 +53,6 @@ TEST(Fields, CopyFromReplicatesEverything) {
   EXPECT_DOUBLE_EQ(b.ap(2, 2, 2), -4.0);
 }
 
-TEST(Fields, AxpyIsElementwiseFma) {
-  SphericalGrid g = small_grid();
-  Fields a(g), x(g);
-  x.p(1, 1, 1) = 4.0;     // p starts at 1.0 in a
-  x.fr(1, 1, 1) = 2.0;    // fr starts at 0.0
-  a.axpy(0.5, x);
-  EXPECT_DOUBLE_EQ(a.p(1, 1, 1), 1.0 + 0.5 * 4.0);
-  EXPECT_DOUBLE_EQ(a.fr(1, 1, 1), 1.0);
-}
-
-TEST(Fields, AssignAxpyMatchesManualComposition) {
-  SphericalGrid g = small_grid();
-  Fields base(g), x(g), out(g), manual(g);
-  base.p(2, 3, 1) = 3.0;
-  x.p(2, 3, 1) = -2.0;
-  out.assign_axpy(base, 0.25, x);
-  manual.copy_from(base);
-  manual.axpy(0.25, x);
-  EXPECT_DOUBLE_EQ(out.p(2, 3, 1), manual.p(2, 3, 1));
-  EXPECT_DOUBLE_EQ(out.p(2, 3, 1), 3.0 + 0.25 * -2.0);
-}
-
 TEST(Fields, SetZeroClearsAll) {
   SphericalGrid g = small_grid();
   Fields s(g);
@@ -80,19 +61,80 @@ TEST(Fields, SetZeroClearsAll) {
     for (double v : f->flat()) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
-TEST(Fields, RungeKuttaStageAlgebraIdentity) {
-  // acc = y + dt/6 k1 + dt/3 k2 composed via axpy must equal the direct
-  // expression — the exact algebra Integrator::step_rk4 relies on.
+/// Distinct, position-dependent values in every cell (ghosts included)
+/// so a misplaced or missing store shows.
+void fill_pattern(Fields& s, double scale) {
+  int f = 0;
+  for (Field3* x : s.all()) {
+    auto d = x->flat();
+    for (std::size_t k = 0; k < d.size(); ++k)
+      d[k] = scale * (1.0 + 0.37 * f + 1e-3 * static_cast<double>(k));
+    ++f;
+  }
+}
+
+TEST(StageUpdate, ReferenceLoopStoresBothExpressionsOverTheBoxOnly) {
   SphericalGrid g = small_grid();
-  Fields y(g), k1(g), k2(g), acc(g);
-  y.p(1, 1, 1) = 2.0;
-  k1.p(1, 1, 1) = 6.0;
-  k2.p(1, 1, 1) = -3.0;
+  Fields k(g), base(g), acc_base(g), out(g), acc(g);
+  fill_pattern(k, -0.5);
+  fill_pattern(base, 2.0);
+  fill_pattern(acc_base, 3.0);
+  fill_pattern(out, 7.0);
+  fill_pattern(acc, 9.0);
+  const Fields out0 = out, acc0 = acc;
+  const IndexBox in = g.interior();
+  const double a = 0.05, b = 0.01;
+
+  flops::global_reset();
+  apply_stage_update(k, {&out, &base, a, &acc, &acc_base, b}, in);
+  EXPECT_EQ(flops::global_count(),
+            static_cast<std::uint64_t>(in.volume()) * 2 * kFlopsStageUpdate);
+
+  for (int f = 0; f < Fields::kNumFields; ++f) {
+    const Field3 &K = *k.all()[f], &B = *base.all()[f],
+                 &AB = *acc_base.all()[f], &O = *out.all()[f],
+                 &A = *acc.all()[f];
+    for (int ip = 0; ip < g.Np(); ++ip)
+      for (int it = 0; it < g.Nt(); ++it)
+        for (int ir = 0; ir < g.Nr(); ++ir) {
+          if (in.contains(ir, it, ip)) {
+            ASSERT_EQ(O(ir, it, ip), B(ir, it, ip) + a * K(ir, it, ip));
+            ASSERT_EQ(A(ir, it, ip), AB(ir, it, ip) + b * K(ir, it, ip));
+          } else {  // ghosts are the fill's business
+            ASSERT_EQ(O(ir, it, ip), (*out0.all()[f])(ir, it, ip));
+            ASSERT_EQ(A(ir, it, ip), (*acc0.all()[f])(ir, it, ip));
+          }
+        }
+  }
+}
+
+TEST(StageUpdate, InPlaceUpdatesComposeTheRungeKuttaAlgebra) {
+  // acc = y + dt/6 k1, then acc += dt/3 k2 in place (acc_base == acc),
+  // then y = y + dt k (out == base): the forms Integrator uses.
+  SphericalGrid g = small_grid();
+  Fields y(g), k1(g), k2(g), stage(g), acc(g);
+  y.p(3, 3, 3) = 2.0;
+  k1.p(3, 3, 3) = 6.0;
+  k2.p(3, 3, 3) = -3.0;
   const double dt = 0.1;
-  acc.copy_from(y);
-  acc.axpy(dt / 6.0, k1);
-  acc.axpy(dt / 3.0, k2);
-  EXPECT_NEAR(acc.p(1, 1, 1), 2.0 + dt * (6.0 / 6.0 - 3.0 / 3.0), 1e-15);
+  const IndexBox in = g.interior();
+  apply_stage_update(k1, {&stage, &y, dt / 2.0, &acc, &y, dt / 6.0}, in);
+  apply_stage_update(k2, {&stage, &y, dt / 2.0, &acc, &acc, dt / 3.0}, in);
+  EXPECT_EQ(acc.p(3, 3, 3), (2.0 + dt / 6.0 * 6.0) + dt / 3.0 * -3.0);
+  EXPECT_EQ(stage.p(3, 3, 3), 2.0 + dt / 2.0 * -3.0);
+  apply_stage_update(k2, {&y, &y, dt}, in);
+  EXPECT_EQ(y.p(3, 3, 3), 2.0 + dt * -3.0);
+}
+
+TEST(StageUpdateDeathTest, RejectsAnAccumulatorAliasingOutOrBase) {
+  // acc is stored before base is read (rhs.hpp): aliasing would feed a
+  // half-updated value into out.  YY_REQUIRE aborts.
+  SphericalGrid g = small_grid();
+  Fields k(g), x(g), y(g);
+  EXPECT_DEATH(apply_stage_update(k, {&x, &y, 1.0, &x, &y, 1.0}, g.interior()),
+               "precondition");
+  EXPECT_DEATH(apply_stage_update(k, {&x, &y, 1.0, &y, &y, 1.0}, g.interior()),
+               "precondition");
 }
 
 }  // namespace

@@ -40,7 +40,6 @@ TEST(StepStats, WaitPhaseClassification) {
   EXPECT_TRUE(is_wait_phase(Phase::overset_wait));
   EXPECT_TRUE(is_wait_phase(Phase::reduce));
   EXPECT_FALSE(is_wait_phase(Phase::rhs));
-  EXPECT_FALSE(is_wait_phase(Phase::rk4_stage));
   EXPECT_FALSE(is_wait_phase(Phase::boundary));
   EXPECT_FALSE(is_wait_phase(Phase::io));
   EXPECT_FALSE(is_wait_phase(Phase::other));

@@ -149,9 +149,8 @@ TEST(GoldenTrace, TwoRankRunExportsValidNonOverlappingChromeTrace) {
     EXPECT_GE(ev->at("args").at("bytes").num, 0.0);
     // Span names are drawn from the documented taxonomy.
     const std::string name = ev->at("name").str;
-    const char* known[] = {"rhs",      "rk4_stage", "halo_wait",
-                           "overset_wait", "boundary",  "reduce",
-                           "io",       "other"};
+    const char* known[] = {"rhs",    "halo_wait", "overset_wait", "boundary",
+                           "reduce", "io",        "other"};
     EXPECT_NE(std::find_if(std::begin(known), std::end(known),
                            [&](const char* k) { return name == k; }),
               std::end(known))
