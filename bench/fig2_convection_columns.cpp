@@ -56,7 +56,7 @@ int main() {
 
   // Vorticity ω = ∇×v on both panels, then the equatorial ω_z map.
   const SphericalGrid& g = s.grid();
-  mhd::Workspace& ws = s.workspace();
+  mhd::Workspace ws(g);
   Field3 wy_r(g.Nr(), g.Nt(), g.Np()), wy_t = wy_r, wy_p = wy_r;
   Field3 wg_r = wy_r, wg_t = wy_r, wg_p = wy_r;
   auto vorticity = [&](Panel p, Field3& wr, Field3& wt, Field3& wp) {

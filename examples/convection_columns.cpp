@@ -21,7 +21,7 @@ namespace {
 
 io::EquatorialSlice vorticity_slice(SerialYinYangSolver& s) {
   const SphericalGrid& g = s.grid();
-  mhd::Workspace& ws = s.workspace();
+  mhd::Workspace ws(g);
   static Field3 wy_r, wy_t, wy_p, wg_r, wg_t, wg_p;
   wy_r = Field3(g.Nr(), g.Nt(), g.Np());
   wy_t = wy_r;
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
 
   // 3-D export for ParaView/VisIt (the paper's visualization data path,
   // SV): one VTK file per panel; they overlay seamlessly.
-  mhd::Workspace& ws = solver.workspace();
+  mhd::Workspace ws(solver.grid());
   for (Panel p : {Panel::yin, Panel::yang}) {
     mhd::velocity_and_temperature(solver.panel(p), ws.vr, ws.vt, ws.vp, ws.T,
                                   solver.grid().interior());

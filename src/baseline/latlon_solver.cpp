@@ -44,7 +44,6 @@ LatLonSolver::LatLonSolver(const LatLonConfig& cfg)
       grid_(latlon_spec(cfg)),
       bc_(cfg.thermal),
       state_(grid_),
-      ws_(grid_),
       integrator_(mhd::TimeScheme::rk4, {&grid_}, mhd::RhsBackend::simd),
       weights_(interior_weights(grid_)) {}
 
@@ -146,7 +145,7 @@ void LatLonSolver::step(double dt) {
 
 double LatLonSolver::stable_dt() {
   return cfg_.cfl_safety *
-         mhd::stable_timestep(grid_, cfg_.eq, state_, ws_, grid_.interior());
+         mhd::stable_timestep(grid_, cfg_.eq, state_, grid_.interior());
 }
 
 double LatLonSolver::run_steps(int n, int recompute_every) {
@@ -160,7 +159,7 @@ double LatLonSolver::run_steps(int n, int recompute_every) {
 }
 
 mhd::EnergyBudget LatLonSolver::energies() {
-  return mhd::integrate_energies(grid_, cfg_.eq, state_, ws_, weights_,
+  return mhd::integrate_energies(grid_, cfg_.eq, state_, weights_,
                                  grid_.interior());
 }
 

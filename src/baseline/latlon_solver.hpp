@@ -53,7 +53,6 @@ class LatLonSolver {
 
   const SphericalGrid& grid() const { return grid_; }
   mhd::Fields& state() { return state_; }
-  mhd::Workspace& workspace() { return ws_; }
   const LatLonConfig& config() const { return cfg_; }
   double time() const { return time_; }
 
@@ -73,7 +72,6 @@ class LatLonSolver {
   SphericalGrid grid_;
   mhd::RadialBoundary bc_;
   mhd::Fields state_;
-  mhd::Workspace ws_;
   /// rk4 on the simd backend, as SimulationConfig's default.
   mhd::Integrator integrator_;
   mhd::ColumnWeights weights_;

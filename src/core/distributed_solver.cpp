@@ -63,21 +63,25 @@ DistributedSolver::DistributedSolver(const SimulationConfig& cfg,
                       runner_->layout(yinyang::other(runner_->panel())).pt,
                       runner_->layout(yinyang::other(runner_->panel())).pp),
       extent_(decomp_.patch(runner_->cart().coord(0), runner_->cart().coord(1))),
-      bc_(cfg.thermal),
-      eq_(runner_->panel() == Panel::yin ? cfg.eq : cfg.eq.for_partner_panel()) {
+      interp_(std::make_unique<yinyang::OversetInterpolator>(geom_)),
+      bc_(cfg.thermal) {
+  build_patch();
+}
+
+void DistributedSolver::build_patch() {
   grid_ = std::make_unique<SphericalGrid>(
-      patch_spec(geom_, extent_, cfg.nr, cfg.shell.r_inner, cfg.shell.r_outer));
-  interp_ = std::make_unique<yinyang::OversetInterpolator>(geom_);
+      patch_spec(geom_, extent_, cfg_.nr, cfg_.shell.r_inner,
+                 cfg_.shell.r_outer));
   halo_ = std::make_unique<HaloExchanger>(*grid_, runner_->cart());
   overset_ = std::make_unique<OversetExchanger>(
       *interp_, decomp_, partner_decomp_, *runner_, *grid_, extent_);
   state_ = std::make_unique<mhd::Fields>(*grid_);
-  ws_ = std::make_unique<mhd::Workspace>(*grid_);
   integrator_ = std::make_unique<mhd::Integrator>(
-      cfg.scheme, std::vector<const SphericalGrid*>{grid_.get()},
-      cfg.rhs_backend);
+      cfg_.scheme, std::vector<const SphericalGrid*>{grid_.get()},
+      cfg_.rhs_backend);
   weights_ = std::make_unique<mhd::ColumnWeights>(
       ownership_weights(geom_, *grid_, extent_.t0, extent_.p0));
+  eq_ = runner_->panel() == Panel::yin ? cfg_.eq : cfg_.eq.for_partner_panel();
 }
 
 void DistributedSolver::fill_ghosts(mhd::Fields& s) {
@@ -122,8 +126,8 @@ void DistributedSolver::step(double dt) {
 }
 
 double DistributedSolver::stable_dt() {
-  const double local = mhd::stable_timestep(*grid_, eq_, *state_, *ws_,
-                                            grid_->interior());
+  const double local =
+      mhd::stable_timestep(*grid_, eq_, *state_, grid_->interior());
   YY_TRACE_SCOPE(obs::Phase::reduce);
   // allreduce_min keeps a NaN only as its left operand, so a rank with a
   // non-finite state sends −∞ (below any real dt) and every rank maps
@@ -138,7 +142,7 @@ double DistributedSolver::stable_dt() {
 
 mhd::EnergyBudget DistributedSolver::energies() {
   mhd::EnergyBudget e = mhd::integrate_energies(
-      *grid_, eq_, *state_, *ws_, *weights_, grid_->interior());
+      *grid_, eq_, *state_, *weights_, grid_->interior());
   YY_TRACE_SCOPE(obs::Phase::reduce);
   double vals[4] = {e.mass, e.kinetic, e.magnetic, e.thermal};
   runner_->world().allreduce_sum(vals);
@@ -251,20 +255,7 @@ void DistributedSolver::rebuild(const comm::Communicator& new_world,
   partner_decomp_ =
       PanelDecomposition(geom_.nt(), geom_.np(), partner.pt, partner.pp);
   extent_ = decomp_.patch(runner_->cart().coord(0), runner_->cart().coord(1));
-  grid_ = std::make_unique<SphericalGrid>(
-      patch_spec(geom_, extent_, cfg_.nr, cfg_.shell.r_inner,
-                 cfg_.shell.r_outer));
-  halo_ = std::make_unique<HaloExchanger>(*grid_, runner_->cart());
-  overset_ = std::make_unique<OversetExchanger>(
-      *interp_, decomp_, partner_decomp_, *runner_, *grid_, extent_);
-  state_ = std::make_unique<mhd::Fields>(*grid_);
-  ws_ = std::make_unique<mhd::Workspace>(*grid_);
-  integrator_ = std::make_unique<mhd::Integrator>(
-      cfg_.scheme, std::vector<const SphericalGrid*>{grid_.get()},
-      cfg_.rhs_backend);
-  weights_ = std::make_unique<mhd::ColumnWeights>(
-      ownership_weights(geom_, *grid_, extent_.t0, extent_.p0));
-  eq_ = panel == Panel::yin ? cfg_.eq : cfg_.eq.for_partner_panel();
+  build_patch();
   telemetry_ = nullptr;  // its aggregation window was over the old world
 
   // ---- deterministic redistribution plan, identical on every rank:

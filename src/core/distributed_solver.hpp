@@ -122,6 +122,9 @@ class DistributedSolver {
   void attach_telemetry(obs::RankTelemetry* t) { telemetry_ = t; }
 
  private:
+  /// (Re)creates grid_ … weights_ and eq_ for this rank's patch.
+  void build_patch();
+
   /// Decomposition of either panel (mine or the partner's).
   const PanelDecomposition& decomp_of(yinyang::Panel p) const {
     return p == runner_->panel() ? decomp_ : partner_decomp_;
@@ -140,7 +143,6 @@ class DistributedSolver {
   mhd::RadialBoundary bc_;
   mhd::EquationParams eq_;
   std::unique_ptr<mhd::Fields> state_;
-  std::unique_ptr<mhd::Workspace> ws_;
   std::unique_ptr<mhd::Integrator> integrator_;
   std::unique_ptr<mhd::ColumnWeights> weights_;
   double time_ = 0.0;

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "core/ownership.hpp"
-#include "mhd/derived.hpp"
 #include "mhd/init.hpp"
 #include "obs/trace.hpp"
 #include "yinyang/transform.hpp"
@@ -24,7 +23,6 @@ SerialYinYangSolver::SerialYinYangSolver(const SimulationConfig& cfg)
       eq_yang_(cfg.eq.for_partner_panel()),
       yin_(grid_),
       yang_(grid_),
-      ws_(grid_),
       integrator_(cfg.scheme, {&grid_, &grid_}, cfg.rhs_backend),
       weights_(ownership_weights(geom_, grid_, 0, 0)) {}
 
@@ -81,10 +79,9 @@ void SerialYinYangSolver::step(double dt) {
 }
 
 double SerialYinYangSolver::stable_dt() {
-  const double a =
-      mhd::stable_timestep(grid_, eq_yin_, yin_, ws_, grid_.interior());
+  const double a = mhd::stable_timestep(grid_, eq_yin_, yin_, grid_.interior());
   const double b =
-      mhd::stable_timestep(grid_, eq_yang_, yang_, ws_, grid_.interior());
+      mhd::stable_timestep(grid_, eq_yang_, yang_, grid_.interior());
   // std::min(a, b) keeps a NaN only as its left operand.
   if (std::isnan(a) || std::isnan(b))
     return std::numeric_limits<double>::quiet_NaN();
@@ -102,9 +99,9 @@ double SerialYinYangSolver::run_steps(int n, int recompute_every) {
 }
 
 mhd::EnergyBudget SerialYinYangSolver::energies() {
-  mhd::EnergyBudget e = mhd::integrate_energies(grid_, eq_yin_, yin_, ws_,
-                                                weights_, grid_.interior());
-  e += mhd::integrate_energies(grid_, eq_yang_, yang_, ws_, weights_,
+  mhd::EnergyBudget e = mhd::integrate_energies(grid_, eq_yin_, yin_, weights_,
+                                                grid_.interior());
+  e += mhd::integrate_energies(grid_, eq_yang_, yang_, weights_,
                                grid_.interior());
   return e;
 }

@@ -54,7 +54,6 @@ class SerialYinYangSolver {
   const mhd::Fields& panel(yinyang::Panel p) const {
     return p == yinyang::Panel::yin ? yin_ : yang_;
   }
-  mhd::Workspace& workspace() { return ws_; }
   const mhd::EquationParams& eq(yinyang::Panel p) const {
     return p == yinyang::Panel::yin ? eq_yin_ : eq_yang_;
   }
@@ -73,7 +72,6 @@ class SerialYinYangSolver {
   mhd::RadialBoundary bc_;
   mhd::EquationParams eq_yin_, eq_yang_;
   mhd::Fields yin_, yang_;
-  mhd::Workspace ws_;
   mhd::Integrator integrator_;
   mhd::ColumnWeights weights_;
   double time_ = 0.0;

@@ -13,7 +13,6 @@
 
 #include "grid/spherical_grid.hpp"
 #include "mhd/params.hpp"
-#include "mhd/rhs.hpp"
 #include "mhd/state.hpp"
 
 namespace yy::mhd {
@@ -56,16 +55,17 @@ struct EnergyBudget {
 };
 
 /// Integrates over `box` with ownership weights; needs valid ghosts on
-/// box.grown(1) for B = ∇×A.  Uses `ws` for the curl scratch.
+/// box.grown(1) for B = ∇×A, evaluated point by point (no scratch).
 EnergyBudget integrate_energies(const SphericalGrid& g,
                                 const EquationParams& eq, const Fields& s,
-                                Workspace& ws, const ColumnWeights& weights,
+                                const ColumnWeights& weights,
                                 const IndexBox& box);
 
 /// Largest stable timestep (advective fast-mode CFL combined with the
 /// explicit diffusion limit), over `box`.  Multiply by a safety factor.
 /// NaN if any point's rate is not finite (a NaN or blown-up state).
+/// Reads box.grown(1) for B = ∇×A, like integrate_energies.
 double stable_timestep(const SphericalGrid& g, const EquationParams& eq,
-                       const Fields& s, Workspace& ws, const IndexBox& box);
+                       const Fields& s, const IndexBox& box);
 
 }  // namespace yy::mhd

@@ -63,7 +63,7 @@ struct Workspace {
   /// Covers nothing; compute_rhs grows it on first use.
   Workspace() = default;
   /// Full-patch coverage (every box inside g.interior() works without
-  /// reallocation) — what long-lived solver workspaces use.
+  /// reallocation) — what the reference integrator holds per patch.
   explicit Workspace(const SphericalGrid& g);
   /// Sized for RHS evaluation over exactly `box`.
   explicit Workspace(const IndexBox& box);

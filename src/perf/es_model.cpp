@@ -98,11 +98,11 @@ ModelResult EsPerformanceModel::predict(const RunConfig& rc) const {
   r.flops_per_gridpoint_rate =
       r.tflops * 1e12 / static_cast<double>(r.grid_points);
 
-  // Memory footprint: the solver keeps 8 state arrays, 3 integrator
-  // stage sets (8 each) and ~19 workspace temporaries per process,
-  // all (nr+4)(ntl+4)(npl+4) doubles — checked against the node's
-  // shared memory shared by its resident processes (Table I).
-  constexpr int arrays = 8 + 3 * 8 + 19;
+  // Memory footprint: 8 state arrays and 3 stage sets of 8 per process
+  // (the RHS sweep's pencil rings are planes, not volumes), all
+  // (nr+4)(ntl+4)(npl+4) doubles — checked against the node's memory
+  // shared by its resident processes (Table I).
+  constexpr int arrays = 8 + 3 * 8;
   const double patch_doubles = static_cast<double>(rc.nr + 4) *
                                (r.ntl + 4) * (r.npl + 4);
   r.memory_per_process_mb = arrays * patch_doubles * 8.0 / 1048576.0;

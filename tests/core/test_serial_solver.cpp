@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
 
 namespace yy::core {
 namespace {
@@ -157,6 +159,57 @@ TEST(SerialSolver, HeatFlowsWithoutConvection) {
   s.run_steps(10);
   EXPECT_LT(s.energies().kinetic, 1e-8);
 }
+
+/// FNV-1a-64 over the raw bytes of every field of the Yin panel, then
+/// the Yang panel, in Fields::all() order, ghosts included.
+std::uint64_t state_hash(const SerialYinYangSolver& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (yinyang::Panel p : {yinyang::Panel::yin, yinyang::Panel::yang})
+    for (const Field3* f : s.panel(p).all()) {
+      const auto* b = reinterpret_cast<const unsigned char*>(f->data());
+      for (std::size_t i = 0; i < f->size() * sizeof(double); ++i) {
+        h ^= b[i];
+        h *= 0x100000001b3ULL;
+      }
+    }
+  return h;
+}
+
+struct GoldenCase {
+  mhd::TimeScheme scheme;
+  std::uint64_t hash;
+};
+
+class SerialGolden : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(SerialGolden, FortyStepsMatchPinnedHash) {
+  // The default config, 40 steps at the CFL dt taken once after
+  // initialize(): pins the kernel, the ghost pipeline and the
+  // diagnostics' dt across versions, not just between backends.  The
+  // values were recorded with glibc 2.36 on x86-64; the initial state
+  // calls libm, so another C library may need them re-recorded.
+  SimulationConfig cfg;
+  cfg.scheme = GetParam().scheme;
+  SerialYinYangSolver s(cfg);
+  s.initialize();
+  const double dt = s.stable_dt();
+  for (int i = 0; i < 40; ++i) s.step(dt);
+  const std::uint64_t h = state_hash(s);
+  EXPECT_EQ(h, GetParam().hash) << "got " << std::hex << h;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, SerialGolden,
+    ::testing::Values(GoldenCase{mhd::TimeScheme::euler, 0x6185c2c24deea19aULL},
+                      GoldenCase{mhd::TimeScheme::rk2, 0x8e8bf53206a21434ULL},
+                      GoldenCase{mhd::TimeScheme::rk4, 0x1cb5cecd1d545b2aULL}),
+    [](const ::testing::TestParamInfo<GoldenCase>& i) {
+      switch (i.param.scheme) {
+        case mhd::TimeScheme::euler: return std::string("euler");
+        case mhd::TimeScheme::rk2: return std::string("rk2");
+        default: return std::string("rk4");
+      }
+    });
 
 }  // namespace
 }  // namespace yy::core

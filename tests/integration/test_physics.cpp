@@ -82,7 +82,7 @@ TEST(Physics, DivergenceOfBStaysTruncationSmall) {
   s.initialize();
   s.run_steps(25);
   const SphericalGrid& g = s.grid();
-  mhd::Workspace& ws = s.workspace();
+  mhd::Workspace ws(g);
   for (Panel p : {Panel::yin, Panel::yang}) {
     mhd::Fields& f = s.panel(p);
     mhd::magnetic_field(g, f, ws.br, ws.bt, ws.bp, g.interior().grown(1));

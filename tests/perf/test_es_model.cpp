@@ -29,6 +29,16 @@ TEST(EsModel, FlagshipConfigurationShape) {
   EXPECT_LT(m.efficiency, 0.7);
 }
 
+TEST(EsModel, MemoryFootprintIsStatePlusThreeStageSets) {
+  // 8 state arrays + 3 RK4 stage sets of 8, each a ghosted patch; the
+  // solver holds no box-sized scratch besides.
+  const ModelResult m = default_model().predict(kTable2Configs[0]);
+  const double patch_doubles = (511.0 + 4) * (m.ntl + 4) * (m.npl + 4);
+  EXPECT_DOUBLE_EQ(m.memory_per_process_mb,
+                   (8 + 3 * 8) * patch_doubles * 8.0 / 1048576.0);
+  EXPECT_TRUE(m.fits_node_memory);
+}
+
 TEST(EsModel, EfficiencyFallsWithProcessorCountAtFixedGrid) {
   const EsPerformanceModel model = default_model();
   const ModelResult big = model.predict({4096, 511, 514, 1538});

@@ -20,8 +20,8 @@ for mode in "${modes[@]}"; do
   cmake -B "${build}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DYY_SANITIZE="${mode}" > /dev/null
   cmake --build "${build}" -j "$(nproc)" --target \
-    test_comm test_core test_obs test_counters test_resilience test_sdc \
-    test_rhs_simd test_config_fuzz > /dev/null
+    test_comm test_core test_mhd test_obs test_counters test_resilience \
+    test_sdc test_rhs_simd test_config_fuzz > /dev/null
   (cd "${build}" &&
     YY_COUNTERS=software ctest -L 'sanitize|resilience|sdc|counters' \
       --output-on-failure)
