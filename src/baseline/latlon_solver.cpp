@@ -127,7 +127,6 @@ void LatLonSolver::polar_filter(mhd::Fields& s) const {
 }
 
 void LatLonSolver::fill_ghosts(mhd::Fields& s) {
-  bc_.enforce_walls(grid_, s);
   pole_ghosts(s);
   wrap_phi(s);
   bc_.fill_ghosts(grid_, s);

@@ -56,7 +56,7 @@ class LatLonSolver {
   const LatLonConfig& config() const { return cfg_; }
   double time() const { return time_; }
 
-  /// Ghost pipeline: walls → φ wrap → pole mapping → radial ghosts.
+  /// Ghost pipeline: pole mapping → φ wrap → walls and radial ghosts.
   void fill_ghosts(mhd::Fields& s);
 
   /// Fraction of grid columns whose local φ spacing r·sinθ·dφ is below

@@ -85,10 +85,6 @@ void DistributedSolver::build_patch() {
 }
 
 void DistributedSolver::fill_ghosts(mhd::Fields& s) {
-  {
-    YY_TRACE_SCOPE(obs::Phase::boundary);
-    bc_.enforce_walls(*grid_, s);
-  }
   halo_->exchange(s);     // records halo_wait
   overset_->exchange(s);  // records overset_wait
   YY_TRACE_SCOPE(obs::Phase::boundary);

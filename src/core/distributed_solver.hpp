@@ -110,7 +110,7 @@ class DistributedSolver {
       PanelLayout old_yin, PanelLayout old_yang,
       const std::vector<int>& survivors);
 
-  /// Walls → halo → overset → radial ghosts, on this rank's patch
+  /// Halo → overset → walls and radial ghosts, on this rank's patch
   /// (collective: every rank must call it together).
   void fill_ghosts(mhd::Fields& s);
 

@@ -38,13 +38,7 @@ void SerialYinYangSolver::initialize() {
 }
 
 void SerialYinYangSolver::fill_ghosts(mhd::Fields& yin, mhd::Fields& yang) {
-  // 1. Enforce wall values so donor data includes the physical BCs.
-  {
-    YY_TRACE_SCOPE(obs::Phase::boundary);
-    bc_.enforce_walls(grid_, yin);
-    bc_.enforce_walls(grid_, yang);
-  }
-  // 2. Overset internal boundary conditions, both directions.  By the
+  // 1. Overset internal boundary conditions, both directions.  By the
   //    complementarity of eq. (1) the same interpolator serves both.
   //    (In-process, the `overset_wait` span measures interpolation
   //    compute — the serial analogue of the distributed exchange.)
@@ -61,7 +55,9 @@ void SerialYinYangSolver::fill_ghosts(mhd::Fields& yin, mhd::Fields& yang) {
     overset(yang, yin);
     overset(yin, yang);
   }
-  // 3. Radial ghosts last, over every column incl. the fresh ghosts.
+  // 2. Radial ghosts and wall nodes last, over every column incl. the
+  //    fresh ghosts.  The overset copies land on ghost columns only, so
+  //    no wall pass is needed before them.
   YY_TRACE_SCOPE(obs::Phase::boundary);
   bc_.fill_ghosts(grid_, yin);
   bc_.fill_ghosts(grid_, yang);

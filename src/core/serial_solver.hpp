@@ -60,7 +60,7 @@ class SerialYinYangSolver {
   double time() const { return time_; }
   long long steps_taken() const { return steps_; }
 
-  /// Ghost-establishment pipeline (walls → overset → radial ghosts);
+  /// Ghost-establishment pipeline (overset → walls and radial ghosts);
   /// public so tests can validate each stage.
   void fill_ghosts(mhd::Fields& yin, mhd::Fields& yang);
 

@@ -35,27 +35,6 @@ void RadialBoundary::apply_wall(const SphericalGrid& g, Fields& s,
   }
 }
 
-void RadialBoundary::enforce_walls(const SphericalGrid& g, Fields& s) const {
-  // Wall-node overwrite is part of apply_wall; fill_ghosts performs the
-  // full job, so enforce_walls only touches the wall line.
-  const int gi = g.ghost();
-  const int go = g.ghost() + g.spec().nr - 1;
-  auto clamp_wall = [&](int iw, double t_bc) {
-    for (int ip = 0; ip < g.Np(); ++ip)
-      for (int it = 0; it < g.Nt(); ++it) {
-        s.fr(iw, it, ip) = 0.0;
-        s.ft(iw, it, ip) = 0.0;
-        s.fp(iw, it, ip) = 0.0;
-        s.p(iw, it, ip) = s.rho(iw, it, ip) * t_bc;
-        s.ar(iw, it, ip) = 0.0;
-        s.at(iw, it, ip) = 0.0;
-        s.ap(iw, it, ip) = 0.0;
-      }
-  };
-  if (inner_) clamp_wall(gi, thermal_.t_inner);
-  if (outer_) clamp_wall(go, thermal_.t_outer);
-}
-
 void RadialBoundary::fill_ghosts(const SphericalGrid& g, Fields& s) const {
   const int gi = g.ghost();
   const int go = g.ghost() + g.spec().nr - 1;

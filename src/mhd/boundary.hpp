@@ -9,13 +9,13 @@
 /// tangential electric field (perfect-conductor-like) and keeps
 /// ∇·B = 0 exactly.  Documented in DESIGN.md as a substitution.
 ///
-/// The condition acts in two parts, both over the full horizontal range
-/// of a patch (including ghost columns, so it runs *after* horizontal
-/// ghost filling):
-///  * enforce_walls(): overwrite the wall-node values of the state;
-///  * fill_ghosts(): populate the radial ghost layers by reflection
-///    consistent with the wall values (odd for f and A, even for ρ,
-///    odd-about-T_bc for T with p reconstructed as ρT).
+/// fill_ghosts() applies the condition over the full horizontal range of
+/// a patch (including ghost columns, so it runs *after* horizontal ghost
+/// filling): it overwrites the wall-node values of the state and then
+/// populates the radial ghost layers by reflection consistent with them
+/// (odd for f and A, even for ρ, odd-about-T_bc for T with p
+/// reconstructed as ρT).  It reads only interior nodes and the wall
+/// nodes' ρ, so no wall pass is needed before the horizontal exchanges.
 #pragma once
 
 #include "grid/spherical_grid.hpp"
@@ -32,17 +32,9 @@ class RadialBoundary {
 
   const ThermalBc& thermal() const { return thermal_; }
 
-  /// Overwrites wall-node values: f = 0, p = ρ·T_bc, A = 0.
-  void enforce_walls(const SphericalGrid& g, Fields& s) const;
-
-  /// Fills the radial ghost layers on both walls.
+  /// Overwrites the wall-node values (f = 0, p = ρ·T_bc, A = 0) and
+  /// fills the radial ghost layers, on both walls.
   void fill_ghosts(const SphericalGrid& g, Fields& s) const;
-
-  /// Both of the above in the required order.
-  void apply(const SphericalGrid& g, Fields& s) const {
-    enforce_walls(g, s);
-    fill_ghosts(g, s);
-  }
 
  private:
   void apply_wall(const SphericalGrid& g, Fields& s, int wall_index,

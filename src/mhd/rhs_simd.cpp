@@ -21,15 +21,18 @@
 /// boxes (the flop charge below is the same sum, term for term).
 ///
 /// Bitwise contract: every per-point body below is a grid/fd_stencils.hpp
-/// template.  W > 1 instantiates it over lane adapters (FieldLanes /
-/// RingLanes / LaneMetrics); W = 1 — the remainder tails, -DYY_SIMD=OFF
-/// builds and YY_SIMD=scalar — over the plain scalar accessors (Field3 /
-/// PlaneRing::Window / SphericalGrid).  The source expressions never
-/// change.  Pack arithmetic is strictly elementwise and the build pins
-/// -ffp-contract=off, so lane i of any pack equals the scalar evaluation
-/// at ir+i bit for bit.  The equivalence suite (tests/mhd/
-/// test_rhs_simd.cpp) pins this against compute_rhs for every width and
-/// for boxes of every shape.
+/// template, instantiated at every width — W > 1 and the W = 1
+/// remainder tails, -DYY_SIMD=OFF builds and YY_SIMD=scalar alike —
+/// over the accessors of grid/fd_stencils_simd.hpp: FieldLanes (a raw
+/// base pointer per field over the strides every patch array shares),
+/// RingLanes (a PlaneRing window) and LaneMetrics (1/r per lane, the θ
+/// metrics bound once per θ row).  At W = 1 they load plain doubles.
+/// The source expressions never change; each point computes all eight
+/// tendencies before its eight stores.  Pack arithmetic is strictly
+/// elementwise and the build pins -ffp-contract=off, so lane i of any
+/// pack equals the scalar evaluation at ir+i bit for bit.  The
+/// equivalence suite (tests/mhd/test_rhs_simd.cpp) pins this against
+/// compute_rhs for every width and for boxes of every shape.
 ///
 /// This TU is compiled with the native ISA flags (see src/mhd/
 /// CMakeLists.txt) so the packs lower to real vector instructions; the
@@ -66,21 +69,31 @@ std::size_t PencilWorkspace::allocated_doubles() const {
 
 namespace {
 
+/// Fields::all() order, for the raw field bases below.
+enum : int { kRho, kFr, kFt, kFp, kP, kAr, kAt, kAp };
+
 /// Everything a sweep needs, bundled so the per-point templates take
-/// one argument.
+/// one argument.  Every patch array is a raw base pointer over the
+/// shared strides `s` (fd_stencils_simd.hpp).
 struct SweepCtx {
   const SphericalGrid& g;
   const EquationParams& eq;
-  const Fields& state;
   PencilWorkspace& pw;
   IndexBox box, e2, e1;
   double c_r, c_t, c_p, irr, itt, ipp;
   double c43, gm1, cstr;
-  // The StageUpdate resolved per field (Fields::all() order); null
-  // base / acc entries mean a plain store / no accumulator.
-  std::array<Field3*, Fields::kNumFields> out{}, acc{};
-  std::array<const Field3*, Fields::kNumFields> base{}, acc_base{};
+  fd::Strides s;
+  // The source state and the StageUpdate resolved per field
+  // (Fields::all() order); null base / acc entries mean a plain store /
+  // no accumulator.
+  std::array<const double*, Fields::kNumFields> src{}, base{}, acc_base{};
+  std::array<double*, Fields::kNumFields> out{}, acc{};
   double a = 0.0, b = 0.0;
+
+  template <int W>
+  fd::FieldLanes<W> field(int f) const {
+    return {src[f], s};
+  }
 };
 
 /// Every ring of the workspace resolved at one φ plane
@@ -104,66 +117,43 @@ struct Planes {
         cvp(pw.cvp.window(ip)) {}
 };
 
-/// The stencil accessors of a W-lane point: lane adapters for W > 1.
-template <int W>
-struct Access {
-  static fd::LaneMetrics<W> metrics(const SphericalGrid& g) { return {&g}; }
-  static fd::FieldLanes<W> field(const Field3& f) { return {&f}; }
-  static fd::RingLanes<W> ring(const Planes::Window& w) { return {&w}; }
-};
-
-/// W = 1 reads through the scalar accessors themselves, so the scalar
-/// sweep is plain double arithmetic with no pack wrapper in between.
-template <>
-struct Access<1> {
-  static const SphericalGrid& metrics(const SphericalGrid& g) { return g; }
-  static const Field3& field(const Field3& f) { return f; }
-  static const Planes::Window& ring(const Planes::Window& w) { return w; }
-};
-
 inline void put(double v, double* p) { *p = v; }
 template <int W>
 inline void put(simd::Pack<W> v, double* p) {
   v.store(p);
 }
 
-/// Stores tendency v of field f (Fields::all() index) at lanes
-/// ir…ir+W−1 of plane ip: the StageUpdate expressions of rhs.hpp, acc
-/// before out.
+/// Stores tendency v of field f (Fields::all() index) at flat offset o
+/// (lanes ir…ir+W−1 of one point): the StageUpdate expressions of
+/// rhs.hpp, acc before out.
 template <int W, class V>
-inline void store(const SweepCtx& c, int f, const V& v, int ir, int it,
-                  int ip) {
-  using A = Access<W>;
+inline void store(const SweepCtx& c, int f, const V& v, std::ptrdiff_t o) {
   if (c.acc[f] != nullptr)
-    put(A::field(*c.acc_base[f])(ir, it, ip) + c.b * v,
-        &(*c.acc[f])(ir, it, ip));
+    put(fd::lanes<W>(c.acc_base[f] + o) + c.b * v, c.acc[f] + o);
   if (c.base[f] != nullptr)
-    put(A::field(*c.base[f])(ir, it, ip) + c.a * v, &(*c.out[f])(ir, it, ip));
+    put(fd::lanes<W>(c.base[f] + o) + c.a * v, c.out[f] + o);
   else
-    put(v, &(*c.out[f])(ir, it, ip));
+    put(v, c.out[f] + o);
 }
 
 /// v = f/ρ, T = p/ρ at lanes ir…ir+W−1 of plane q (fill_vt body).
 template <int W>
 inline void vt_point(const SweepCtx& c, const Planes& w, int ir, int it,
                      int q) {
-  using A = Access<W>;
-  const auto inv_rho = 1.0 / A::field(c.state.rho)(ir, it, q);
-  put(A::field(c.state.fr)(ir, it, q) * inv_rho, w.vr.at(ir, it, q));
-  put(A::field(c.state.ft)(ir, it, q) * inv_rho, w.vt.at(ir, it, q));
-  put(A::field(c.state.fp)(ir, it, q) * inv_rho, w.vp.at(ir, it, q));
-  put(A::field(c.state.p)(ir, it, q) * inv_rho, w.T.at(ir, it, q));
+  const auto inv_rho = 1.0 / c.field<W>(kRho)(ir, it, q);
+  put(c.field<W>(kFr)(ir, it, q) * inv_rho, w.vr.at(ir, it, q));
+  put(c.field<W>(kFt)(ir, it, q) * inv_rho, w.vt.at(ir, it, q));
+  put(c.field<W>(kFp)(ir, it, q) * inv_rho, w.vp.at(ir, it, q));
+  put(c.field<W>(kP)(ir, it, q) * inv_rho, w.T.at(ir, it, q));
 }
 
 /// B = ∇×A, ∇·v, ∇×v at lanes ir…ir+W−1 of plane q (fill_derived body).
 template <int W>
-inline void derived_point(const SweepCtx& c, const Planes& w, int ir,
-                          int it, int q) {
-  using A = Access<W>;
-  const auto& g = A::metrics(c.g);
-  const auto &ar = A::field(c.state.ar), &at = A::field(c.state.at),
-             &ap = A::field(c.state.ap);
-  const auto &Vr = A::ring(w.vr), &Vt = A::ring(w.vt), &Vp = A::ring(w.vp);
+inline void derived_point(const SweepCtx& c, const fd::LaneMetrics<W>& g,
+                          const Planes& w, int ir, int it, int q) {
+  const auto ar = c.field<W>(kAr), at = c.field<W>(kAt),
+             ap = c.field<W>(kAp);
+  const fd::RingLanes<W> Vr{w.vr}, Vt{w.vt}, Vp{w.vp};
   const auto b =
       fd::curl_point(g, ar, at, ap, c.c_r, c.c_t, c.c_p, ir, it, q);
   put(b.r, w.br.at(ir, it, q));
@@ -179,27 +169,24 @@ inline void derived_point(const SweepCtx& c, const Planes& w, int ir,
 }
 
 /// All eight tendencies at lanes ir…ir+W−1 of output plane ip, in the
-/// reference chain's accumulation order, each handed to store()
-/// (combine body).
+/// reference chain's accumulation order, then the eight store() calls
+/// as one block (combine body): no store sits between two loads, so
+/// the compiler may share any load or subexpression across tendencies.
 template <int W>
-inline void combine_point(const SweepCtx& c, const Planes& w, int ir,
-                          int it, int ip, double st, double ct) {
-  using A = Access<W>;
-  const auto& g = A::metrics(c.g);
+inline void combine_point(const SweepCtx& c, const fd::LaneMetrics<W>& g,
+                          const Planes& w, int ir, int it, int ip, double st,
+                          double ct) {
   const EquationParams& eq = c.eq;
-  const auto &Srho = A::field(c.state.rho), &Sfr = A::field(c.state.fr),
-             &Sft = A::field(c.state.ft), &Sfp = A::field(c.state.fp),
-             &Sp = A::field(c.state.p);
-  const auto &Vr = A::ring(w.vr), &Vt = A::ring(w.vt), &Vp = A::ring(w.vp),
-             &Tp = A::ring(w.T), &Br = A::ring(w.br), &Bt = A::ring(w.bt),
-             &Bp = A::ring(w.bp), &Dv = A::ring(w.divv),
-             &Cr = A::ring(w.cvr), &Ct = A::ring(w.cvt),
-             &Cp = A::ring(w.cvp);
+  const auto Srho = c.field<W>(kRho), Sfr = c.field<W>(kFr),
+             Sft = c.field<W>(kFt), Sfp = c.field<W>(kFp),
+             Sp = c.field<W>(kP);
+  const fd::RingLanes<W> Vr{w.vr}, Vt{w.vt}, Vp{w.vp}, Tp{w.T}, Br{w.br},
+      Bt{w.bt}, Bp{w.bp}, Dv{w.divv}, Cr{w.cvr}, Ct{w.cvt}, Cp{w.cvp};
   const double c_r = c.c_r, c_t = c.c_t, c_p = c.c_p;
 
   // --- eq. (2): ∂ρ/∂t = −∇·f -----------------------------------
-  store<W>(c, 0, -fd::div_point(g, Sfr, Sft, Sfp, c_r, c_t, c_p, ir, it, ip),
-           ir, it, ip);
+  const auto rho_t =
+      -fd::div_point(g, Sfr, Sft, Sfp, c_r, c_t, c_p, ir, it, ip);
 
   // --- eq. (3): momentum ---------------------------------------
   const auto dvf = fd::div_vf_point(g, Vr, Vt, Vp, Sfr, Sft, Sfp, c_r, c_t,
@@ -236,9 +223,6 @@ inline void combine_point(const SweepCtx& c, const Planes& w, int ir,
             2.0 * rho * (vtc * o_p - vpc * o_t);
   ft_acc += (jpc * brc - jrc * bpc) + 2.0 * rho * (vpc * o_r - vrc * o_p);
   fp_acc += (jrc * btc - jtc * brc) + 2.0 * rho * (vrc * o_t - vtc * o_r);
-  store<W>(c, 1, fr_acc, ir, it, ip);
-  store<W>(c, 2, ft_acc, ir, it, ip);
-  store<W>(c, 3, fp_acc, ir, it, ip);
 
   // --- eq. (4): pressure ---------------------------------------
   const auto adv =
@@ -249,20 +233,30 @@ inline void combine_point(const SweepCtx& c, const Planes& w, int ir,
   auto p_acc = -adv - eq.gamma * Sp(ir, it, ip) * Dv(ir, it, ip) +
                c.gm1 * (eq.kappa * lap + eq.eta * j2);
   p_acc += c.cstr * fd::strain_point(g, Vr, Vt, Vp, c_r, c_t, c_p, ir, it, ip);
-  store<W>(c, 4, p_acc, ir, it, ip);
 
   // --- eq. (5): ∂A/∂t = −E = v×B − ηj --------------------------
-  store<W>(c, 5, (vtc * bpc - vpc * btc) - eq.eta * jrc, ir, it, ip);
-  store<W>(c, 6, (vpc * brc - vrc * bpc) - eq.eta * jtc, ir, it, ip);
-  store<W>(c, 7, (vrc * btc - vtc * brc) - eq.eta * jpc, ir, it, ip);
+  const auto ar_t = (vtc * bpc - vpc * btc) - eq.eta * jrc;
+  const auto at_t = (vpc * brc - vrc * bpc) - eq.eta * jtc;
+  const auto ap_t = (vrc * btc - vtc * brc) - eq.eta * jpc;
+
+  const std::ptrdiff_t o = c.s.at<W>(ir, it, ip);
+  store<W>(c, kRho, rho_t, o);
+  store<W>(c, kFr, fr_acc, o);
+  store<W>(c, kFt, ft_acc, o);
+  store<W>(c, kFp, fp_acc, o);
+  store<W>(c, kP, p_acc, o);
+  store<W>(c, kAr, ar_t, o);
+  store<W>(c, kAt, at_t, o);
+  store<W>(c, kAp, ap_t, o);
 }
 
 /// The rolling sweep at pack width W (plane schedule in the file
 /// comment); each radial line runs full W-lane packs then the W=1
-/// instantiation over the remainder.  Flattened, so every per-point
-/// body and stencil is inlined into its loop and ring/field bases hoist
-/// out of the radial loops: left to the inliner's budget, shared by four
-/// widths in this TU, the W=1 stencils stayed calls per point.
+/// instantiation over the remainder, with the θ metrics bound once per
+/// row.  Flattened, so every per-point body and stencil is inlined into
+/// its loop and ring/field bases hoist out of the radial loops: left to
+/// the inliner's budget, shared by four widths in this TU, the W=1
+/// stencils stayed calls per point.
 template <int W>
 [[gnu::flatten]] void sweep(const SweepCtx& c) {
   const auto fill_vt = [&](int q) {
@@ -276,19 +270,25 @@ template <int W>
   const auto fill_derived = [&](int q) {
     const Planes w(c.pw, q);
     for (int it = c.e1.t0; it < c.e1.t1; ++it) {
+      const fd::LaneMetrics<W> gw(c.g, it);
+      const fd::LaneMetrics<1> g1(c.g, it);
       int ir = c.e1.r0;
-      for (; ir + W <= c.e1.r1; ir += W) derived_point<W>(c, w, ir, it, q);
-      for (; ir < c.e1.r1; ++ir) derived_point<1>(c, w, ir, it, q);
+      for (; ir + W <= c.e1.r1; ir += W)
+        derived_point<W>(c, gw, w, ir, it, q);
+      for (; ir < c.e1.r1; ++ir) derived_point<1>(c, g1, w, ir, it, q);
     }
   };
   const auto combine = [&](int ip) {
     const Planes w(c.pw, ip);
     for (int it = c.box.t0; it < c.box.t1; ++it) {
+      const fd::LaneMetrics<W> gw(c.g, it);
+      const fd::LaneMetrics<1> g1(c.g, it);
       const double st = c.g.sin_t(it), ct = c.g.cos_t(it);
       int ir = c.box.r0;
       for (; ir + W <= c.box.r1; ir += W)
-        combine_point<W>(c, w, ir, it, ip, st, ct);
-      for (; ir < c.box.r1; ++ir) combine_point<1>(c, w, ir, it, ip, st, ct);
+        combine_point<W>(c, gw, w, ir, it, ip, st, ct);
+      for (; ir < c.box.r1; ++ir)
+        combine_point<1>(c, g1, w, ir, it, ip, st, ct);
     }
   };
 
@@ -322,11 +322,22 @@ void compute_stage_simd_width(int width, const SphericalGrid& g,
   YY_REQUIRE(e2.r0 >= 0 && e2.r1 <= g.Nr());
   YY_REQUIRE(e2.t0 >= 0 && e2.t1 <= g.Nt());
   YY_REQUIRE(e2.p0 >= 0 && e2.p1 <= g.Np());
+  // Every array the sweep addresses shares the grid's shape: one set of
+  // strides serves them all.
+  const auto grid_shaped = [&](const Fields* f) {
+    if (f == nullptr) return true;
+    for (const Field3* a : f->all())
+      if (a->nr() != g.Nr() || a->nt() != g.Nt() || a->np() != g.Np())
+        return false;
+    return true;
+  };
+  YY_REQUIRE(grid_shaped(&state) && grid_shaped(upd.out) &&
+             grid_shaped(upd.base) && grid_shaped(upd.acc) &&
+             grid_shaped(upd.acc_base));
   pw.ensure(box);
 
   SweepCtx c{g,
              eq,
-             state,
              pw,
              box,
              e2,
@@ -339,12 +350,16 @@ void compute_stage_simd_width(int width, const SphericalGrid& g,
              1.0 / (g.dp() * g.dp()),
              4.0 / 3.0 * eq.mu,
              eq.gamma - 1.0,
-             (eq.gamma - 1.0) * 2.0 * eq.mu};
-  c.out = upd.out->all();
-  if (upd.base != nullptr) c.base = upd.base->all();
-  if (upd.acc != nullptr) {
-    c.acc = upd.acc->all();
-    c.acc_base = upd.acc_base->all();
+             (eq.gamma - 1.0) * 2.0 * eq.mu,
+             fd::Strides(state.rho)};
+  for (int f = 0; f < Fields::kNumFields; ++f) {
+    c.src[f] = state.all()[f]->data();
+    c.out[f] = upd.out->all()[f]->data();
+    if (upd.base != nullptr) c.base[f] = upd.base->all()[f]->data();
+    if (upd.acc != nullptr) {
+      c.acc[f] = upd.acc->all()[f]->data();
+      c.acc_base[f] = upd.acc_base->all()[f]->data();
+    }
   }
   c.a = upd.a;
   c.b = upd.b;

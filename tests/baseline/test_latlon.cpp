@@ -1,10 +1,12 @@
 #include "baseline/latlon_solver.hpp"
 
 #include "core/serial_solver.hpp"
+#include "support/equivalence.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -164,6 +166,21 @@ TEST(LatLon, SimdStepMatchesReferenceBitwise) {
               0)
         << "field " << k;
   }
+}
+
+TEST(LatLonGolden, FortyStepsMatchPinnedHash) {
+  // The default LatLonConfig (rk4), 40 steps at the CFL dt taken once
+  // after initialize(); the hash is FNV-1a-64 over the raw bytes of
+  // every field in Fields::all() order, ghosts included.  Pins the
+  // kernel and the pole/wrap/wall fill across versions.  Recorded with
+  // glibc 2.36 on x86-64 (the initial state calls libm).
+  LatLonSolver s{LatLonConfig{}};
+  s.initialize();
+  const double dt = s.stable_dt();
+  for (int i = 0; i < 40; ++i) s.step(dt);
+  std::uint64_t h = testsupport::kFnvBasis;
+  for (const Field3* f : s.state().all()) h = testsupport::fnv1a(h, *f);
+  EXPECT_EQ(h, 0x51882f3ea31fc6cfULL) << "got " << std::hex << h;
 }
 
 }  // namespace

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <mutex>
+#include <string>
 
 #include "comm/runtime.hpp"
 #include "core/serial_solver.hpp"
+#include "support/equivalence.hpp"
 
 namespace yy::core {
 namespace {
@@ -165,6 +168,52 @@ TEST(DistributedSolver, NanOnOneRankMakesStableDtNanOnEveryRank) {
     EXPECT_TRUE(std::isnan(poisoned[r])) << poisoned[r];
   }
 }
+
+struct GoldenCase {
+  mhd::TimeScheme scheme;
+  std::uint64_t hash;
+};
+
+class DistributedGolden : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(DistributedGolden, FortyStepsMatchPinnedHash) {
+  // The default config on 4 ranks (1×2 per panel), 40 steps at the CFL
+  // dt taken once after initialize(); the hash is FNV-1a-64 over
+  // gather_field of every field in Fields::all() order, Yin then Yang.
+  // Pins the kernel, the halo and overset exchanges and the wall fill
+  // across versions.  Recorded with glibc 2.36 on x86-64 (the initial
+  // state calls libm).
+  SimulationConfig cfg;
+  cfg.scheme = GetParam().scheme;
+  std::uint64_t h = 0;
+  comm::Runtime rt(4);
+  rt.run([&](comm::Communicator& w) {
+    DistributedSolver solver(cfg, w, 1, 2);
+    solver.initialize();
+    const double dt = solver.stable_dt();
+    for (int i = 0; i < 40; ++i) solver.step(dt);
+    std::uint64_t acc = testsupport::kFnvBasis;
+    for (Panel p : {Panel::yin, Panel::yang})
+      for (int f = 0; f < mhd::Fields::kNumFields; ++f)  // collective
+        acc = testsupport::fnv1a(acc, solver.gather_field(f, p));
+    if (w.rank() == 0) h = acc;
+  });
+  EXPECT_EQ(h, GetParam().hash) << "got " << std::hex << h;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, DistributedGolden,
+    ::testing::Values(
+        GoldenCase{mhd::TimeScheme::euler, 0xaeedc473fbaca0bbULL},
+        GoldenCase{mhd::TimeScheme::rk2, 0xd4b3cb3cc0fbce2bULL},
+        GoldenCase{mhd::TimeScheme::rk4, 0x450225af74f444c2ULL}),
+    [](const ::testing::TestParamInfo<GoldenCase>& i) {
+      switch (i.param.scheme) {
+        case mhd::TimeScheme::euler: return std::string("euler");
+        case mhd::TimeScheme::rk2: return std::string("rk2");
+        default: return std::string("rk4");
+      }
+    });
 
 }  // namespace
 }  // namespace yy::core

@@ -7,6 +7,8 @@
 #include <limits>
 #include <string>
 
+#include "support/equivalence.hpp"
+
 namespace yy::core {
 namespace {
 
@@ -163,15 +165,9 @@ TEST(SerialSolver, HeatFlowsWithoutConvection) {
 /// FNV-1a-64 over the raw bytes of every field of the Yin panel, then
 /// the Yang panel, in Fields::all() order, ghosts included.
 std::uint64_t state_hash(const SerialYinYangSolver& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::uint64_t h = testsupport::kFnvBasis;
   for (yinyang::Panel p : {yinyang::Panel::yin, yinyang::Panel::yang})
-    for (const Field3* f : s.panel(p).all()) {
-      const auto* b = reinterpret_cast<const unsigned char*>(f->data());
-      for (std::size_t i = 0; i < f->size() * sizeof(double); ++i) {
-        h ^= b[i];
-        h *= 0x100000001b3ULL;
-      }
-    }
+    for (const Field3* f : s.panel(p).all()) h = testsupport::fnv1a(h, *f);
   return h;
 }
 

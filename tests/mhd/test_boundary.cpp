@@ -41,7 +41,7 @@ class BoundaryTest : public ::testing::Test {
 };
 
 TEST_F(BoundaryTest, WallsAreRigidNoSlip) {
-  bc.apply(g, s);
+  bc.fill_ghosts(g, s);
   const int iw_in = g.ghost();
   const int iw_out = g.ghost() + g.spec().nr - 1;
   for (int ip = 0; ip < g.Np(); ++ip)
@@ -54,7 +54,7 @@ TEST_F(BoundaryTest, WallsAreRigidNoSlip) {
 }
 
 TEST_F(BoundaryTest, WallTemperaturesFixedHotInnerColdOuter) {
-  bc.apply(g, s);
+  bc.fill_ghosts(g, s);
   const int iw_in = g.ghost();
   const int iw_out = g.ghost() + g.spec().nr - 1;
   for (int ip = 0; ip < g.Np(); ++ip)
@@ -65,7 +65,7 @@ TEST_F(BoundaryTest, WallTemperaturesFixedHotInnerColdOuter) {
 }
 
 TEST_F(BoundaryTest, PotentialClampedOnWalls) {
-  bc.apply(g, s);
+  bc.fill_ghosts(g, s);
   const int iw_in = g.ghost();
   const int iw_out = g.ghost() + g.spec().nr - 1;
   for (int iw : {iw_in, iw_out}) {
@@ -76,7 +76,7 @@ TEST_F(BoundaryTest, PotentialClampedOnWalls) {
 }
 
 TEST_F(BoundaryTest, MassFluxGhostsOddReflected) {
-  bc.apply(g, s);
+  bc.fill_ghosts(g, s);
   const int iw = g.ghost();  // inner wall
   for (int k = 1; k <= g.ghost(); ++k) {
     EXPECT_DOUBLE_EQ(s.fr(iw - k, 2, 3), -s.fr(iw + k, 2, 3));
@@ -85,14 +85,14 @@ TEST_F(BoundaryTest, MassFluxGhostsOddReflected) {
 }
 
 TEST_F(BoundaryTest, DensityGhostsZeroGradient) {
-  bc.apply(g, s);
+  bc.fill_ghosts(g, s);
   const int iw = g.ghost() + g.spec().nr - 1;  // outer wall
   for (int k = 1; k <= g.ghost(); ++k)
     EXPECT_DOUBLE_EQ(s.rho(iw + k, 1, 1), s.rho(iw - k, 1, 1));
 }
 
 TEST_F(BoundaryTest, TemperatureGhostsOddAboutWallValue) {
-  bc.apply(g, s);
+  bc.fill_ghosts(g, s);
   const int iw = g.ghost();
   for (int k = 1; k <= g.ghost(); ++k) {
     const double t_ghost = s.p(iw - k, 3, 3) / s.rho(iw - k, 3, 3);
@@ -103,7 +103,7 @@ TEST_F(BoundaryTest, TemperatureGhostsOddAboutWallValue) {
 
 TEST_F(BoundaryTest, InteriorAwayFromWallsUntouched) {
   const double before = s.p(g.ghost() + 3, 3, 3);
-  bc.apply(g, s);
+  bc.fill_ghosts(g, s);
   EXPECT_DOUBLE_EQ(s.p(g.ghost() + 3, 3, 3), before);
 }
 
@@ -111,7 +111,7 @@ TEST_F(BoundaryTest, SingleWallVariantsTouchOneSideOnly) {
   Fields t(g);
   t.copy_from(s);
   RadialBoundary inner_only({2.0, 1.0}, true, false);
-  inner_only.apply(g, t);
+  inner_only.fill_ghosts(g, t);
   const int iw_out = g.ghost() + g.spec().nr - 1;
   // Outer wall flux untouched (still whatever the fixture set).
   EXPECT_DOUBLE_EQ(t.fr(iw_out, 2, 2), s.fr(iw_out, 2, 2));

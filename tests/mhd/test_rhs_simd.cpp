@@ -364,6 +364,35 @@ TEST(SimdStageDeathTest, RejectsAStoreIntoTheSource) {
                "precondition");
 }
 
+TEST(SimdStageDeathTest, RejectsAnArrayOfAnotherShape) {
+  // The sweep addresses every array through the source state's strides,
+  // so a state, stage target, base or accumulator of another shape
+  // aborts instead of being read or written out of bounds.
+  const SphericalGrid g = test_grid(6), h = test_grid(9);
+  const EquationParams eq = test_eq();
+  Fields s(g), out(g), base(g), acc(g), wrong(h);
+  fill_smooth(g, s);
+  PencilWorkspace pw;
+  EXPECT_DEATH(compute_stage_simd(g, eq, s, {&wrong}, pw, g.interior()),
+               "precondition");
+  EXPECT_DEATH(compute_stage_simd(g, eq, s, {&out, &wrong, 0.5}, pw,
+                                  g.interior()),
+               "precondition");
+  EXPECT_DEATH(compute_stage_simd(g, eq, s, {&out, &base, 0.5, &wrong, &s,
+                                             0.5},
+                                  pw, g.interior()),
+               "precondition");
+  EXPECT_DEATH(compute_stage_simd(g, eq, s, {&out, &base, 0.5, &acc,
+                                             &wrong, 0.5},
+                                  pw, g.interior()),
+               "precondition");
+  EXPECT_DEATH(compute_stage_simd(h, eq, s, {&wrong}, pw, h.interior()),
+               "precondition");
+  // The same update over matching shapes runs.
+  compute_stage_simd(g, eq, s, {&out, &base, 0.5, &acc, &s, 0.5}, pw,
+                     g.interior());
+}
+
 TEST(SimdRhs, ActiveWidthDispatchMatchesExplicitWidth) {
   // compute_stage_simd (what the integrator calls) must be exactly the
   // forced-width sweep.

@@ -44,9 +44,10 @@ TEST(HwCounters, BackendIsReportedHonestly) {
   ASSERT_TRUE(g.backend() == CounterBackend::perf_event ||
               g.backend() == CounterBackend::software);
   EXPECT_FALSE(g.backend_detail().empty());
-  if (g.backend() == CounterBackend::software)
+  if (g.backend() == CounterBackend::software) {
     EXPECT_NE(g.backend_detail().find("software"), std::string::npos)
         << g.backend_detail();
+  }
 }
 
 TEST(HwCounters, ForcedSoftwareNeverOpensPerfEvent) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -121,6 +122,18 @@ inline std::size_t count_diffs(const std::vector<double>& a,
   for (std::size_t i = 0; i < a.size() && i < b.size(); ++i)
     if (a[i] != b[i]) ++diffs;
   return diffs;
+}
+
+/// FNV-1a-64 over the raw bytes of `f`, continuing from `h` (start
+/// from kFnvBasis): the hash the golden-trajectory tests pin.
+inline constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+inline std::uint64_t fnv1a(std::uint64_t h, const Field3& f) {
+  const auto* b = reinterpret_cast<const unsigned char*>(f.data());
+  for (std::size_t i = 0; i < f.size() * sizeof(double); ++i) {
+    h ^= b[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
 }
 
 }  // namespace yy::testsupport

@@ -17,8 +17,14 @@ modes=("$@")
 for mode in "${modes[@]}"; do
   build="build-${mode}san"
   echo "== ${mode} sanitizer -> ${build} =="
+  # The address leg also compiles in the YY_ASSERT_DBG bounds checks
+  # (Array3D::index, the sweep's strided accessors, PlaneRing windows,
+  # ScratchField), so every index those suites compute is checked
+  # against its array's extent in at least one build.
+  debug_checks=""
+  [ "${mode}" = address ] && debug_checks="-DYY_DEBUG_CHECKS"
   cmake -B "${build}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DYY_SANITIZE="${mode}" > /dev/null
+    -DYY_SANITIZE="${mode}" -DCMAKE_CXX_FLAGS="${debug_checks}" > /dev/null
   cmake --build "${build}" -j "$(nproc)" --target \
     test_comm test_core test_mhd test_obs test_counters test_resilience \
     test_sdc test_rhs_simd test_config_fuzz > /dev/null
