@@ -40,12 +40,12 @@ int main() {
   std::printf("== Fig. 2: columnar convection cells (fast variant) ============\n");
   SerialYinYangSolver s(cfg);
   s.initialize();
-  s.run_steps(5);
+  for (int i = 0; i < 5; ++i) s.step(s.stable_dt());
   const double ke0 = s.energies().kinetic;  // just after onset of motion
 
   const int bursts = 6, steps_per_burst = 50;
   for (int b = 0; b < bursts; ++b) {
-    s.run_steps(steps_per_burst);
+    for (int i = 0; i < steps_per_burst; ++i) s.step(s.stable_dt());
     const auto e = s.energies();
     std::printf("  t=%.4f steps=%lld KE=%.3e ME=%.3e\n", s.time(),
                 s.steps_taken(), e.kinetic, e.magnetic);

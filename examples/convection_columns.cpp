@@ -66,7 +66,8 @@ int main(int argc, char** argv) {
   solver.initialize();
 
   for (int snap = 1; snap <= snapshots; ++snap) {
-    solver.run_steps(steps_per_snapshot);
+    for (int i = 0; i < steps_per_snapshot; ++i)
+      solver.step(solver.stable_dt());
     io::EquatorialSlice slice = vorticity_slice(solver);
     const int cols = io::count_columns(slice);
     const std::string ppm = "columns_t" + std::to_string(snap) + ".ppm";

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   std::printf("%10s %8s %14s %14s\n", "time", "steps", "kinetic", "magnetic");
   double ke_peak = 0.0;
   for (int b = 0; b < bursts; ++b) {
-    solver.run_steps(25);
+    for (int i = 0; i < 25; ++i) solver.step(solver.stable_dt());
     const mhd::EnergyBudget e = solver.energies();
     csv.row({solver.time(), static_cast<double>(solver.steps_taken()),
              e.kinetic, e.magnetic, e.thermal, e.mass});

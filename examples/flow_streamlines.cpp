@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   std::printf("== Flow streamlines across the Yin-Yang border =================\n");
   core::SerialYinYangSolver solver(cfg);
   solver.initialize();
-  solver.run_steps(steps);
+  for (int i = 0; i < steps; ++i) solver.step(solver.stable_dt());
   std::printf("ran %d steps to t = %.4f (KE %.3e)\n", steps, solver.time(),
               solver.energies().kinetic);
 

@@ -36,7 +36,7 @@ int main() {
   std::printf("%8s %12s %14s %14s %12s\n", "step", "time", "kinetic",
               "magnetic", "mass");
   for (int burst = 0; burst < 5; ++burst) {
-    solver.run_steps(10);
+    for (int i = 0; i < 10; ++i) solver.step(solver.stable_dt());
     const mhd::EnergyBudget e = solver.energies();
     std::printf("%8lld %12.5f %14.5e %14.5e %12.6f\n", solver.steps_taken(),
                 solver.time(), e.kinetic, e.magnetic, e.mass);

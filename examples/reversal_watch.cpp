@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
     std::printf("%10.4f %12.3e %12.3e %9.1f° %12.3f\n", solver.time(),
                 gc.g_lm(1, 0), gc.dipole().norm(), tilt_deg,
                 spec[1] > 0 ? spec[2] / spec[1] : 0.0);
-    solver.run_steps(30);
+    for (int i = 0; i < 30; ++i) solver.step(solver.stable_dt());
   }
 
   std::printf("\nA polarity reversal would appear as g10 crossing zero with\n");

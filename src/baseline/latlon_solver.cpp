@@ -52,7 +52,6 @@ void LatLonSolver::initialize() {
                         /*panel_id=*/7, {0, 0}, state_);
   fill_ghosts(state_);
   time_ = 0.0;
-  cached_dt_ = 0.0;
 }
 
 void LatLonSolver::wrap_phi(mhd::Fields& s) const {
@@ -145,16 +144,6 @@ void LatLonSolver::step(double dt) {
 double LatLonSolver::stable_dt() {
   return cfg_.cfl_safety *
          mhd::stable_timestep(grid_, cfg_.eq, state_, grid_.interior());
-}
-
-double LatLonSolver::run_steps(int n, int recompute_every) {
-  double advanced = 0.0;
-  for (int i = 0; i < n; ++i) {
-    if (cached_dt_ == 0.0 || i % recompute_every == 0) cached_dt_ = stable_dt();
-    step(cached_dt_);
-    advanced += cached_dt_;
-  }
-  return advanced;
 }
 
 mhd::EnergyBudget LatLonSolver::energies() {

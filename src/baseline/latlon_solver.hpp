@@ -47,7 +47,6 @@ class LatLonSolver {
 
   void initialize();
   void step(double dt);
-  double run_steps(int n, int recompute_every = 10);
   double stable_dt();
   mhd::EnergyBudget energies();
 
@@ -76,7 +75,6 @@ class LatLonSolver {
   mhd::Integrator integrator_;
   mhd::ColumnWeights weights_;
   double time_ = 0.0;
-  double cached_dt_ = 0.0;
 };
 
 }  // namespace yy::baseline

@@ -34,7 +34,6 @@ void SerialYinYangSolver::initialize() {
   fill_ghosts(yin_, yang_);
   time_ = 0.0;
   steps_ = 0;
-  cached_dt_ = 0.0;
 }
 
 void SerialYinYangSolver::fill_ghosts(mhd::Fields& yin, mhd::Fields& yang) {
@@ -82,16 +81,6 @@ double SerialYinYangSolver::stable_dt() {
   if (std::isnan(a) || std::isnan(b))
     return std::numeric_limits<double>::quiet_NaN();
   return cfg_.cfl_safety * std::min(a, b);
-}
-
-double SerialYinYangSolver::run_steps(int n, int recompute_every) {
-  double advanced = 0.0;
-  for (int i = 0; i < n; ++i) {
-    if (cached_dt_ == 0.0 || i % recompute_every == 0) cached_dt_ = stable_dt();
-    step(cached_dt_);
-    advanced += cached_dt_;
-  }
-  return advanced;
 }
 
 mhd::EnergyBudget SerialYinYangSolver::energies() {

@@ -29,10 +29,6 @@ class SerialYinYangSolver {
   /// One RK4 step of both panels.
   void step(double dt);
 
-  /// Runs `n` steps at the current CFL timestep (re-estimated every
-  /// `recompute_every` steps); returns the simulated time advanced.
-  double run_steps(int n, int recompute_every = 10);
-
   /// CFL-stable dt (including the configured safety factor).
   double stable_dt();
 
@@ -76,7 +72,6 @@ class SerialYinYangSolver {
   mhd::ColumnWeights weights_;
   double time_ = 0.0;
   long long steps_ = 0;
-  double cached_dt_ = 0.0;
 };
 
 }  // namespace yy::core

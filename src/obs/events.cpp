@@ -16,7 +16,8 @@ constexpr const char* kEventNames[] = {
     "dt_reramp",        "stale_tmp_swept",        "health_denormal",
     "sdc_audit",        "sdc_mismatch",           "sdc_invariant_trip",
     "sdc_detected",     "sdc_restore",            "replica_scrubbed",
-    "replica_rot_detected", "replica_refetched",  "run_failed",
+    "replica_rot_detected", "replica_refetched",  "health_unphysical",
+    "run_failed",
 };
 static_assert(std::size(kEventNames) == static_cast<std::size_t>(kNumEvents),
               "event_name table and kNumEvents are out of sync");

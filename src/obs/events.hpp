@@ -41,10 +41,11 @@ enum class Event : int {
   replica_scrubbed,         ///< buddy-replica scrub rounds completed (rank 0)
   replica_rot_detected,     ///< a held buddy replica failed its re-CRC
   replica_refetched,        ///< a fresh replica re-fetched from the partner
+  health_unphysical,        ///< ρ <= 0 or p <= 0 detected in the interior
   run_failed,               ///< resilient run gave up (structured failure)
 };
 
-inline constexpr int kNumEvents = 27;
+inline constexpr int kNumEvents = 28;
 
 // A new Event must bump kNumEvents (and the name table in events.cpp,
 // pinned by its own static_assert) before it compiles.

@@ -15,8 +15,9 @@ namespace {
 constexpr double kHealthy = 0.0;
 constexpr double kCfl = 1.0;
 constexpr double kDenormal = 2.0;
-constexpr double kBlowup = 3.0;
-constexpr double kNonfinite = 4.0;
+constexpr double kUnphysical = 3.0;
+constexpr double kBlowup = 4.0;
+constexpr double kNonfinite = 5.0;
 
 }  // namespace
 
@@ -25,6 +26,7 @@ const char* verdict_name(HealthVerdict v) {
     case HealthVerdict::healthy: return "healthy";
     case HealthVerdict::cfl_collapse: return "cfl_collapse";
     case HealthVerdict::denormal_flood: return "denormal_flood";
+    case HealthVerdict::unphysical: return "unphysical";
     case HealthVerdict::blowup: return "blowup";
     case HealthVerdict::nonfinite: return "nonfinite";
   }
@@ -62,6 +64,16 @@ HealthVerdict HealthMonitor::check(const core::DistributedSolver& s,
                 static_cast<double>(fld->size()))
       code = kDenormal;
   }
+  if (code < kUnphysical) {
+    // Every field can stay finite while ρ or p crosses zero; the sound
+    // speed and with it stable_dt() are then NaN.  The interior is the
+    // evolved state: every fill rewrites the ghosts from it.
+    const mhd::Fields& st = s.local_state();
+    for_box(s.local_grid().interior(), [&](int ir, int it, int ip) {
+      if (st.rho(ir, it, ip) <= 0.0 || st.p(ir, it, ip) <= 0.0)
+        code = kUnphysical;
+    });
+  }
   {
     YY_TRACE_SCOPE(obs::Phase::reduce);
     // The verdict must not outlive its peers: bound the collective so a
@@ -77,6 +89,8 @@ HealthVerdict HealthMonitor::check(const core::DistributedSolver& s,
       obs::count_event(obs::Event::health_nonfinite);
     else if (code >= kBlowup)
       obs::count_event(obs::Event::health_blowup);
+    else if (code >= kUnphysical)
+      obs::count_event(obs::Event::health_unphysical);
     else if (code >= kDenormal)
       obs::count_event(obs::Event::health_denormal);
     else if (code >= kCfl)
@@ -84,6 +98,7 @@ HealthVerdict HealthMonitor::check(const core::DistributedSolver& s,
   }
   if (code >= kNonfinite) return HealthVerdict::nonfinite;
   if (code >= kBlowup) return HealthVerdict::blowup;
+  if (code >= kUnphysical) return HealthVerdict::unphysical;
   if (code >= kDenormal) return HealthVerdict::denormal_flood;
   if (code >= kCfl) return HealthVerdict::cfl_collapse;
   return HealthVerdict::healthy;

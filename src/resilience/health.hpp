@@ -1,6 +1,6 @@
 /// \file health.hpp
-/// Solver health monitoring: periodic NaN/Inf and blow-up scans with a
-/// collective verdict.
+/// Solver health monitoring: periodic NaN/Inf, blow-up and unphysical-
+/// state scans with a collective verdict.
 ///
 /// The scan is local (every rank sweeps its own eight full arrays) and
 /// the verdict is made collective with a single allreduce-max over a
@@ -33,6 +33,7 @@ enum class HealthVerdict {
   healthy,
   cfl_collapse,    ///< timestep fell below policy.min_dt
   denormal_flood,  ///< a field drowned in subnormal magnitudes
+  unphysical,      ///< ρ <= 0 or p <= 0 somewhere in the interior
   blowup,          ///< finite but beyond policy.blowup_threshold
   nonfinite,       ///< NaN or ±Inf somewhere in the state
 };

@@ -1,6 +1,8 @@
 #include "resilience/resilient_runner.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <utility>
 
 #include "comm/fault.hpp"
@@ -31,6 +33,9 @@ struct DeadlineGuard {
 /// kDtRampFraction × the current CFL-stable dt).
 constexpr double kDtGrowth = 1.25;
 constexpr double kDtRampFraction = 0.95;
+
+/// run() has no time goal, and run_to() no entry dt to cap the re-ramp.
+constexpr double kForever = std::numeric_limits<double>::infinity();
 
 /// An unset health-verdict deadline inherits the runner's take
 /// deadline, so the verdict collective can never outwait a dead peer.
@@ -139,6 +144,7 @@ RunReport ResilientRunner::fail(RunReport r, const std::string& why) {
   r.completed = false;
   r.failure = why;
   r.final_step = solver_.steps_taken();
+  r.final_time = solver_.time();
   r.final_world_size = world.size();
   // One count per failed run, from the lowest live rank: a victim that
   // retired before calling this never counts one.
@@ -264,7 +270,7 @@ std::string ResilientRunner::recover(RunReport& r, double& dt,
 
       long long no = refusal(budget_spent, 0);
       if (in_budget) {
-        if (plan.backoff) {
+        if (plan.backoff && std::isfinite(dt)) {  // see run_to()
           dt *= policy_.dt_backoff;
           dt_reduced_ = true;
           if (world.rank() == 0) obs::count_event(obs::Event::dt_backoff);
@@ -336,6 +342,19 @@ std::string ResilientRunner::recover(RunReport& r, double& dt,
 }
 
 RunReport ResilientRunner::run(long long target_steps, double dt) {
+  return advance(target_steps, kForever, false, dt);
+}
+
+RunReport ResilientRunner::run_to(double t_end) {
+  YY_REQUIRE(std::isfinite(t_end));
+  // +inf: no CFL dt taken yet.  The first estimate replaces it, and a
+  // blow-up before it has no dt to back off.
+  return advance(std::numeric_limits<long long>::max(), t_end, true,
+                 kForever);
+}
+
+RunReport ResilientRunner::advance(long long target_steps, double t_end,
+                                   bool cfl, double dt) {
   DeadlineGuard guard{solver_.runner().world(),
                       solver_.runner().world().take_deadline_ms()};
   if (policy_.take_deadline_ms > 0)
@@ -343,11 +362,14 @@ RunReport ResilientRunner::run(long long target_steps, double dt) {
   dt_entry_ = dt;
   dt_reduced_ = false;
   ladder_entries_ = 0;
+  const auto done = [&] {
+    return solver_.steps_taken() >= target_steps || solver_.time() >= t_end;
+  };
 
   RunReport r;
   r.final_world_size = solver_.runner().world().size();
   bool need_arm = true;
-  while (solver_.steps_taken() < target_steps) {
+  while (!done()) {
     // Re-read every iteration: a shrink recovery replaces the runner.
     const comm::Communicator& world = solver_.runner().world();
     r.final_dt = dt;
@@ -413,7 +435,19 @@ RunReport ResilientRunner::run(long long target_steps, double dt) {
       if (scrubber_.due(solver_.steps_taken()))
         scrubber_.scrub(buddy_, world);
 
-      solver_.step(dt);
+      double step_dt = dt;
+      if (cfl) {
+        // Taken on the audited state.  stable_dt() is an exact
+        // allreduce-min, so every rank steps alike and lands on t_end.
+        const double stable = solver_.stable_dt();
+        if (!std::isfinite(stable)) {
+          suspected = Cause::blowup;
+          throw Error(Error::Kind::numeric, "CFL timestep is not finite");
+        }
+        dt = dt_reduced_ ? std::min(dt, stable) : stable;
+        step_dt = std::min(dt, t_end - solver_.time());
+      }
+      solver_.step(step_dt);
       const long long step = solver_.steps_taken();
       // References are only ever consulted by the next loop-top audit,
       // so they are taken solely on steps that audit will examine — a
@@ -434,7 +468,7 @@ RunReport ResilientRunner::run(long long target_steps, double dt) {
         }
         if (dt_reduced_) {
           // Bounded re-ramp: a healthy sweep lets dt grow back toward
-          // the CFL-stable value, never past the dt the run started
+          // the CFL-stable value, never past the dt run() started
           // with.  stable_dt() is an exact allreduce-min, so every
           // rank computes the same ramp.
           const double cap =
@@ -447,7 +481,7 @@ RunReport ResilientRunner::run(long long target_steps, double dt) {
           if (dt >= cap) dt_reduced_ = false;
         }
       }
-      if (step % policy_.checkpoint_interval == 0 || step == target_steps)
+      if (step % policy_.checkpoint_interval == 0 || done())
         if (ckpt_.save(solver_, dt, world.fault_plan())) {
           ++r.checkpoints_saved;
           // Piggyback the diskless replicas on the same cadence; the
@@ -466,6 +500,7 @@ RunReport ResilientRunner::run(long long target_steps, double dt) {
   }
   r.completed = true;
   r.final_step = solver_.steps_taken();
+  r.final_time = solver_.time();
   r.final_dt = dt;
   r.final_world_size = solver_.runner().world().size();
   return r;

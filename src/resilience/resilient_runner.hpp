@@ -3,12 +3,14 @@
 ///
 /// Drives DistributedSolver::step with checkpoints, diskless buddy
 /// replicas, health checks and optional SDC audits, and sends every
-/// fault down one recovery ladder.  The ladder classifies the fault
-/// once — comm fault, blow-up, rank loss (a retired peer; overrides any
-/// other cause) or SDC verdict — and follows that cause's row of a const
-/// plan table (DESIGN.md §9): shrink the world or not, back dt off or
-/// not, and restore from which image rung — every rank's own buddy
-/// image, the ring replicas of the dead, or the newest disk set.  Every
+/// fault down one recovery ladder.  One loop serves both stop rules: a
+/// step count at a fixed dt (run) and a simulated time at the CFL dt
+/// (run_to).  The ladder classifies the fault once — comm fault,
+/// blow-up, rank loss (a retired peer; overrides any other cause) or
+/// SDC verdict — and follows that cause's row of a const plan table
+/// (DESIGN.md §9): shrink the world or not, back dt off or not, and
+/// restore from which image rung — every rank's own buddy image, the
+/// ring replicas of the dead, or the newest disk set.  Every
 /// rung agrees on a snapshot step, restores, re-arms the audit and the
 /// replicas, and counts events; RunPolicy::max_recoveries bounds the
 /// ladder entries of a run.  A recovered run is bitwise an unfaulted
@@ -33,13 +35,15 @@ struct RunPolicy {
   CheckpointManager::Options store;   ///< where checkpoint sets live
   long long checkpoint_interval = 10; ///< save every N steps (>= 1)
   HealthPolicy health;                ///< scan cadence + thresholds
-  /// Recovery-ladder entries per run() before giving up, whatever the
-  /// cause: a rewind, a shrink and an SDC restore use one each, and an
-  /// SDC restore that falls back to the disk set still uses one.
+  /// Recovery-ladder entries per run() or run_to() call before giving
+  /// up, whatever the cause: a rewind, a shrink and an SDC restore use
+  /// one each, and an SDC restore that falls back to the disk set still
+  /// uses one.
   int max_recoveries = 3;
   /// dt multiplier after a blow-up; dt then re-ramps at every healthy
   /// scheduled health check, ×1.25 up to min(run-entry dt, 0.95 × the
-  /// CFL-stable dt).
+  /// CFL-stable dt) — run_to has no entry dt, so there the cap is
+  /// 0.95 × the CFL-stable dt alone.
   double dt_backoff = 0.5;
   int take_deadline_ms = 2000;        ///< receive deadline while running
                                       ///  (0 keeps blocking receives)
@@ -56,6 +60,10 @@ struct RunPolicy {
 struct RunReport {
   bool completed = false;
   long long final_step = 0;
+  double final_time = 0.0;    ///< solver time when the run ended
+  /// dt rule's value when the run ended: run's (backed-off, re-ramped)
+  /// dt, or run_to's last CFL dt before the landing clip (+inf if it
+  /// stepped none).
   double final_dt = 0.0;
   int recoveries = 0;         ///< disk-rung rewinds performed
   int checkpoints_saved = 0;  ///< committed sets during this run
@@ -80,12 +88,27 @@ class ResilientRunner {
   /// fabric and returns a failed report naming the injected death.
   RunReport run(long long target_steps, double dt);
 
+  /// Collective: advances the solver to simulated time `t_end`, each
+  /// step at dt = min(stable_dt(), t_end − time()), so the last step
+  /// lands on t_end.  After a blow-up dt is backed off and re-ramps
+  /// exactly as in run(), under min(that dt, stable_dt()).  A
+  /// non-finite stable_dt() enters the ladder as a blow-up before the
+  /// step is taken.  Returns a completed report without stepping when
+  /// time() >= t_end already; otherwise as run().
+  RunReport run_to(double t_end);
+
   CheckpointManager& checkpoints() { return ckpt_; }
 
  private:
   /// What set the ladder off; each cause has one row in the plan table.
   enum class Cause { comm_fault, blowup, rank_loss, sdc };
 
+  /// The loop behind run() and run_to(): steps until `target_steps`
+  /// steps or simulated time `t_end`, whichever comes first.  With
+  /// `cfl` each step takes its dt from the CFL rule (run_to), else `dt`
+  /// is fixed (run).
+  RunReport advance(long long target_steps, double t_end, bool cfl,
+                    double dt);
   RunReport fail(RunReport r, const std::string& why);
   /// The recovery ladder (collective).  Returns "" once the state is
   /// restored, else the failure clause every survivor agrees on.
@@ -104,9 +127,9 @@ class ResilientRunner {
   BuddyStore buddy_;
   SdcAuditor auditor_;
   ReplicaScrubber scrubber_;
-  double dt_entry_ = 0.0;     ///< dt the current run() was entered with
+  double dt_entry_ = 0.0;     ///< dt run() was entered with (+inf: run_to)
   bool dt_reduced_ = false;   ///< a backoff is in effect; re-ramp allowed
-  int ladder_entries_ = 0;    ///< recover() calls during the current run()
+  int ladder_entries_ = 0;    ///< recover() calls during the current run
 };
 
 }  // namespace yy::resilience

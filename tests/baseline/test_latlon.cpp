@@ -71,7 +71,7 @@ TEST(LatLon, PoleGhostsMirrorAcrossWithSignFlip) {
 TEST(LatLon, StableOverSteps) {
   LatLonSolver s(small_config());
   s.initialize();
-  s.run_steps(15);
+  for (int i = 0; i < 15; ++i) s.step(s.stable_dt());
   const auto e = s.energies();
   EXPECT_TRUE(std::isfinite(e.kinetic));
   EXPECT_TRUE(std::isfinite(e.thermal));
@@ -82,7 +82,7 @@ TEST(LatLon, MassApproximatelyConserved) {
   LatLonSolver s(small_config());
   s.initialize();
   const double m0 = s.energies().mass;
-  s.run_steps(15);
+  for (int i = 0; i < 15; ++i) s.step(s.stable_dt());
   EXPECT_NEAR(s.energies().mass, m0, 2e-3 * m0);
 }
 
@@ -119,7 +119,7 @@ TEST(LatLon, PolarFilterAllowsLargerEffectiveStep) {
   cfg.polar_filter_threshold = 0.4;
   LatLonSolver s(cfg);
   s.initialize();
-  s.run_steps(10);
+  for (int i = 0; i < 10; ++i) s.step(s.stable_dt());
   const auto e = s.energies();
   EXPECT_TRUE(std::isfinite(e.kinetic));
 }

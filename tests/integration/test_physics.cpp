@@ -19,6 +19,11 @@ using core::SerialYinYangSolver;
 using core::SimulationConfig;
 using yinyang::Panel;
 
+/// Steps `n` times, each at the CFL-stable dt of the state it starts from.
+void step_cfl(SerialYinYangSolver& s, int n) {
+  for (int i = 0; i < n; ++i) s.step(s.stable_dt());
+}
+
 SimulationConfig convective_config() {
   SimulationConfig cfg;
   cfg.nr = 13;
@@ -38,9 +43,9 @@ SimulationConfig convective_config() {
 TEST(Physics, ConvectionGrowsFromPerturbation) {
   SerialYinYangSolver s(convective_config());
   s.initialize();
-  s.run_steps(5);
+  step_cfl(s, 5);
   const double ke_early = s.energies().kinetic;
-  s.run_steps(60);
+  step_cfl(s, 60);
   const double ke_late = s.energies().kinetic;
   EXPECT_GT(ke_early, 0.0);
   EXPECT_GT(ke_late, 3.0 * ke_early);  // buoyancy-driven growth
@@ -57,9 +62,9 @@ TEST(Physics, StableStratificationStaysQuiet) {
   quiet.ic.perturb_amp = 1e-4;
   SerialYinYangSolver s(quiet);
   s.initialize();
-  s.run_steps(40);
+  step_cfl(s, 40);
   const double ke_mid = s.energies().kinetic;
-  s.run_steps(40);
+  step_cfl(s, 40);
   const double ke_late = s.energies().kinetic;
   EXPECT_LT(ke_late, 2.0 * ke_mid + 1e-12);  // bounded, not amplifying
   EXPECT_LT(ke_late, 1e-2);                  // and small in absolute terms
@@ -67,9 +72,9 @@ TEST(Physics, StableStratificationStaysQuiet) {
   SimulationConfig driven = convective_config();
   SerialYinYangSolver d(driven);
   d.initialize();
-  d.run_steps(40);
+  step_cfl(d, 40);
   const double dke_mid = d.energies().kinetic;
-  d.run_steps(40);
+  step_cfl(d, 40);
   const double dke_late = d.energies().kinetic;
   EXPECT_GT(dke_late, 1.4 * dke_mid);  // convection keeps growing
 }
@@ -80,7 +85,7 @@ TEST(Physics, DivergenceOfBStaysTruncationSmall) {
   // evolves A rather than B).
   SerialYinYangSolver s(convective_config());
   s.initialize();
-  s.run_steps(25);
+  step_cfl(s, 25);
   const SphericalGrid& g = s.grid();
   mhd::Workspace ws(g);
   for (Panel p : {Panel::yin, Panel::yang}) {
@@ -106,7 +111,7 @@ TEST(Physics, TotalEnergyBudgetClosesApproximately) {
   SerialYinYangSolver s(convective_config());
   s.initialize();
   const auto e0 = s.energies();
-  s.run_steps(40);
+  step_cfl(s, 40);
   const auto e1 = s.energies();
   EXPECT_NEAR(e1.mass, e0.mass, 5e-3 * e0.mass);
   EXPECT_LT(e1.kinetic + e1.magnetic, 0.2 * e1.thermal);
@@ -123,8 +128,8 @@ TEST(Physics, RotationSuppressesRadialFlows) {
   SerialYinYangSolver a(slow), b(fast);
   a.initialize();
   b.initialize();
-  a.run_steps(50);
-  b.run_steps(50);
+  step_cfl(a, 50);
+  step_cfl(b, 50);
   // Strong rotation delays/weakens the onset: kinetic energy is lower.
   EXPECT_LT(b.energies().kinetic, a.energies().kinetic);
 }
@@ -132,7 +137,7 @@ TEST(Physics, RotationSuppressesRadialFlows) {
 TEST(Physics, CheckpointRestartBitExact) {
   SerialYinYangSolver s(convective_config());
   s.initialize();
-  s.run_steps(8);
+  step_cfl(s, 8);
   const std::string path = std::string(::testing::TempDir()) + "/restart.yyc2";
   const SphericalGrid& g = s.grid();
   resilience::CheckpointMetaV2 meta;
@@ -182,8 +187,8 @@ TEST(Physics, FinerGridReducesDoubleSolutionError) {
   a.initialize();
   b.initialize();
   // Evolve smooth axisymmetric states (pure conduction adjustment).
-  a.run_steps(10);
-  b.run_steps(10);
+  step_cfl(a, 10);
+  step_cfl(b, 10);
   const double ea = a.double_solution_error(4).first;
   const double eb = b.double_solution_error(4).first;
   EXPECT_LT(eb, ea + 1e-12);

@@ -66,6 +66,42 @@ TEST(HealthMonitor, HugeValueYieldsCollectiveBlowupVerdict) {
       }));
 }
 
+TEST(HealthMonitor, NegativePressureYieldsCollectiveUnphysicalVerdict) {
+  // Every field finite, p < 0 at one interior point of one rank: the
+  // sound speed (and stable_dt()) is NaN there, so the state is no
+  // longer healthy though no magnitude probe can see it.
+  obs::EventCounters::global().reset();
+  EXPECT_TRUE(all_ranks_see(
+      HealthPolicy{}, 1e-4, HealthVerdict::unphysical,
+      +[](core::DistributedSolver& s, int rank) {
+        const IndexBox in = s.local_grid().interior();
+        if (rank == 2)
+          s.local_state().p(in.r0 + 1, in.t0 + 2, in.p0 + 3) = -0.44;
+      }));
+  EXPECT_EQ(
+      obs::EventCounters::global().count(obs::Event::health_unphysical), 1u);
+  EXPECT_STREQ(verdict_name(HealthVerdict::unphysical), "unphysical");
+}
+
+TEST(HealthMonitor, ZeroDensityYieldsCollectiveUnphysicalVerdict) {
+  EXPECT_TRUE(all_ranks_see(
+      HealthPolicy{}, 1e-4, HealthVerdict::unphysical,
+      +[](core::DistributedSolver& s, int rank) {
+        const IndexBox in = s.local_grid().interior();
+        if (rank == 0) s.local_state().rho(in.r1 - 1, in.t0, in.p1 - 1) = 0.0;
+      }));
+}
+
+TEST(HealthMonitor, BlowupOutranksUnphysical) {
+  EXPECT_TRUE(all_ranks_see(
+      HealthPolicy{}, 1e-4, HealthVerdict::blowup,
+      +[](core::DistributedSolver& s, int rank) {
+        const IndexBox in = s.local_grid().interior();
+        if (rank == 1) s.local_state().p(in.r0, in.t0, in.p0) = -1.0;
+        if (rank == 3) s.local_state().fr(1, 1, 1) = 1e12;
+      }));
+}
+
 TEST(HealthMonitor, NegativeInfinityYieldsCollectiveNonfiniteVerdict) {
   // The blow-up probe must trip on ±Inf exactly like NaN: a magnitude
   // threshold alone would pass -Inf < threshold comparisons silently.
