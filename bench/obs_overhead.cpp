@@ -7,27 +7,15 @@
 /// A third leg measures counter sampling (obs/hwcounters): tracing plus
 /// a bound CounterGroup, so every PhaseScope additionally samples the
 /// backend twice.  The same <2% bar applies to the counter increment
-/// over plain tracing.
-///
-/// Besides the text report, the measurements are exported as
-/// `obs_overhead.json` (yy-bench-1 schema, see bench_json.hpp /
-/// `--out FILE`) so the <2% claims are tracked in the perf-regression
-/// trajectory alongside the BENCH_* baselines.
+/// over plain tracing.  Exits 1 when either bar fails.
 #include <algorithm>
 #include <cstddef>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <string>
 
 #include "common/timer.hpp"
 #include "core/serial_solver.hpp"
 #include "obs/hwcounters.hpp"
-#include "obs/metrics.hpp"
-#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
-
-#include "bench_json.hpp"
 
 using namespace yy;
 
@@ -72,18 +60,9 @@ double run_once(obs::TraceRecorder* rec, obs::CounterGroup* ctrs, int steps) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   const int steps = 30;
   const int reps = 5;
-  std::string out_path = "obs_overhead.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--out FILE]\n", argv[0]);
-      return 2;
-    }
-  }
 
   std::printf("== Tracing overhead (YY_TRACE_LEVEL=%d) =====================\n",
               YY_TRACE_LEVEL);
@@ -128,29 +107,6 @@ int main(int argc, char** argv) {
   // (counter binding without scopes never samples).
   const bool pass = true;
 #endif
-
-  // Machine-readable result in the baseline schema: the overhead bar
-  // itself is the tolerance (direction max, allowed drift = the gap to
-  // 2%), so bench_compare flags any creep past the acceptance line.
-  {
-    obs::RunManifest man = obs::RunManifest::current_build();
-    man.app = "obs_overhead";
-    man.mode = "serial";
-    man.world = 1;
-    man.counter_backend = obs::counter_backend_name(ctrs.backend());
-    man.extra.emplace_back("steps", std::to_string(steps));
-    std::vector<yy::bench::BenchMetric> metrics;
-    metrics.push_back({"overhead_frac", overhead, 0.0, 0.02, "max"});
-    metrics.push_back({"counter_overhead_frac", ctr_overhead, 0.0, 0.02,
-                       "max"});
-    metrics.push_back({"spans_per_run", static_cast<double>(spans), 0.0,
-                       2.0 * steps, "band"});
-    std::ofstream f(out_path);
-    if (f) {
-      yy::bench::write_bench_json(f, "obs_overhead", man, metrics);
-      std::printf("\nwrote %s\n", out_path.c_str());
-    }
-  }
 
   std::printf("\n%s\n", pass ? "PASS" : "FAIL");
   return pass ? 0 : 1;

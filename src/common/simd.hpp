@@ -115,8 +115,9 @@ int active_width();
 /// environment/default policy.  Not for production use.
 void force_active_width(int w);
 
-/// Analytic per-sweep lane accounting (the measured counterpart of the
-/// ES model's average-vector-length / vector-op-ratio columns).
+/// Per-sweep lane accounting, counted from the trips the sweep's radial
+/// loops ran (the measured counterpart of the ES model's
+/// average-vector-length / vector-op-ratio columns).
 struct LaneStats {
   std::uint64_t iterations = 0;     ///< pack-loop trips + scalar tail trips
   std::uint64_t vector_points = 0;  ///< points processed in full-width packs

@@ -253,18 +253,29 @@ inline void combine_point(const SweepCtx& c, const fd::LaneMetrics<W>& g,
 /// The rolling sweep at pack width W (plane schedule in the file
 /// comment); each radial line runs full W-lane packs then the W=1
 /// instantiation over the remainder, with the θ metrics bound once per
-/// row.  Flattened, so every per-point body and stencil is inlined into
-/// its loop and ring/field bases hoist out of the radial loops: left to
-/// the inliner's budget, shared by four widths in this TU, the W=1
-/// stencils stayed calls per point.
+/// row.  Every line adds the trips its two loops ran to the sweep's
+/// simd::LaneStats, published once at the end: the lane statistics
+/// count the loops as they ran, not a formula over the box shapes.
+/// Flattened, so every per-point body and stencil is inlined into its
+/// loop and ring/field bases hoist out of the radial loops: left to the
+/// inliner's budget, shared by four widths in this TU, the W=1 stencils
+/// stayed calls per point.
 template <int W>
 [[gnu::flatten]] void sweep(const SweepCtx& c) {
+  simd::LaneStats lanes;
+  const auto count = [&](std::uint64_t packs, std::uint64_t tails) {
+    lanes.iterations += packs + tails;
+    if constexpr (W > 1) lanes.vector_points += packs * W;
+    lanes.points += packs * W + tails;
+  };
   const auto fill_vt = [&](int q) {
     const Planes w(c.pw, q);
     for (int it = c.e2.t0; it < c.e2.t1; ++it) {
-      int ir = c.e2.r0;
-      for (; ir + W <= c.e2.r1; ir += W) vt_point<W>(c, w, ir, it, q);
-      for (; ir < c.e2.r1; ++ir) vt_point<1>(c, w, ir, it, q);
+      int ir = c.e2.r0, packs = 0, tails = 0;
+      for (; ir + W <= c.e2.r1; ir += W, ++packs)
+        vt_point<W>(c, w, ir, it, q);
+      for (; ir < c.e2.r1; ++ir, ++tails) vt_point<1>(c, w, ir, it, q);
+      count(packs, tails);
     }
   };
   const auto fill_derived = [&](int q) {
@@ -272,10 +283,12 @@ template <int W>
     for (int it = c.e1.t0; it < c.e1.t1; ++it) {
       const fd::LaneMetrics<W> gw(c.g, it);
       const fd::LaneMetrics<1> g1(c.g, it);
-      int ir = c.e1.r0;
-      for (; ir + W <= c.e1.r1; ir += W)
+      int ir = c.e1.r0, packs = 0, tails = 0;
+      for (; ir + W <= c.e1.r1; ir += W, ++packs)
         derived_point<W>(c, gw, w, ir, it, q);
-      for (; ir < c.e1.r1; ++ir) derived_point<1>(c, g1, w, ir, it, q);
+      for (; ir < c.e1.r1; ++ir, ++tails)
+        derived_point<1>(c, g1, w, ir, it, q);
+      count(packs, tails);
     }
   };
   const auto combine = [&](int ip) {
@@ -284,11 +297,12 @@ template <int W>
       const fd::LaneMetrics<W> gw(c.g, it);
       const fd::LaneMetrics<1> g1(c.g, it);
       const double st = c.g.sin_t(it), ct = c.g.cos_t(it);
-      int ir = c.box.r0;
-      for (; ir + W <= c.box.r1; ir += W)
+      int ir = c.box.r0, packs = 0, tails = 0;
+      for (; ir + W <= c.box.r1; ir += W, ++packs)
         combine_point<W>(c, gw, w, ir, it, ip, st, ct);
-      for (; ir < c.box.r1; ++ir)
+      for (; ir < c.box.r1; ++ir, ++tails)
         combine_point<1>(c, g1, w, ir, it, ip, st, ct);
+      count(packs, tails);
     }
   };
 
@@ -299,6 +313,7 @@ template <int W>
     fill_derived(ip + 1);
     combine(ip);
   }
+  simd::lane_stats_add(lanes);
 }
 
 }  // namespace
@@ -379,29 +394,9 @@ void compute_stage_simd_width(int width, const SphericalGrid& g,
       break;
   }
 
-  // Analytic lane accounting: each radial line of length L issues
-  // ⌊L/W⌋ full packs plus L mod W width-1 tail trips.  The measured
-  // counterpart of the ES model's vector columns (perf/proginf).
   const auto vol = [](const IndexBox& b) {
     return static_cast<std::uint64_t>(b.volume());
   };
-  const std::uint64_t np = static_cast<std::uint64_t>(box.p1 - box.p0);
-  simd::LaneStats stats;
-  const auto add_lines = [&](std::uint64_t lines, std::uint64_t len) {
-    const std::uint64_t full = len / static_cast<std::uint64_t>(width);
-    const std::uint64_t tail = len % static_cast<std::uint64_t>(width);
-    stats.iterations += lines * (full + tail);
-    if (width > 1) stats.vector_points += lines * full * width;
-    stats.points += lines * len;
-  };
-  add_lines(static_cast<std::uint64_t>(e2.t1 - e2.t0) * (np + 4),
-            static_cast<std::uint64_t>(e2.r1 - e2.r0));
-  add_lines(static_cast<std::uint64_t>(e1.t1 - e1.t0) * (np + 2),
-            static_cast<std::uint64_t>(e1.r1 - e1.r0));
-  add_lines(static_cast<std::uint64_t>(box.t1 - box.t0) * np,
-            static_cast<std::uint64_t>(box.r1 - box.r0));
-  simd::lane_stats_add(stats);
-
   // Identical charge to compute_rhs + apply_stage_update, term for
   // term: v/T over box.grown(2); B, ∇·v, ∇×v over box.grown(1); every
   // remaining operator (including the on-the-fly j = ∇×B) and the stage

@@ -7,14 +7,12 @@
 
 namespace yy::perf {
 
-KernelProfile KernelProfile::measure(int nr, int nt_core, int np_core,
-                                     mhd::RhsBackend backend) {
+KernelProfile KernelProfile::measure(int nr, int nt_core, int np_core) {
   core::SimulationConfig cfg;
   cfg.nr = nr;
   cfg.nt_core = nt_core;
   cfg.np_core = np_core;
   cfg.eq.omega = {0.0, 0.0, 5.0};
-  cfg.rhs_backend = backend;
   core::SerialYinYangSolver solver(cfg);
   solver.initialize();
   const double dt = solver.stable_dt();
@@ -35,7 +33,7 @@ KernelProfile KernelProfile::measure(int nr, int nt_core, int np_core,
   prof.flops_per_point_per_step = counted / points;
   prof.seconds_per_point_per_step = secs / points;
   prof.local_gflops = counted / secs / 1e9;
-  if (backend == mhd::RhsBackend::simd) {
+  if (cfg.rhs_backend == mhd::RhsBackend::simd) {
     prof.simd_width = simd::active_width();
     prof.simd_avg_vector_length = lanes.avg_vector_length();
     prof.simd_vector_coverage = lanes.vector_coverage();

@@ -4,9 +4,6 @@
 /// hardware counter supplied in the paper.
 #pragma once
 
-#include "core/config.hpp"
-#include "mhd/rhs.hpp"
-
 namespace yy::perf {
 
 struct KernelProfile {
@@ -22,16 +19,13 @@ struct KernelProfile {
   double simd_avg_vector_length = 0.0;
   double simd_vector_coverage = 0.0;
 
-  /// Runs one RK4 step of a small serial Yin-Yang dynamo and reads the
-  /// software flop counter.  Flops per point are resolution-independent
-  /// up to ghost-fraction effects, so a small grid suffices; the
-  /// (nr, nt, np) arguments allow convergence checks of that claim.
-  /// `backend` selects the RHS evaluation (default: the config's) — both
-  /// charge identical flops, so only the seconds/gflops (and lane)
-  /// figures move.
-  static KernelProfile measure(
-      int nr = 17, int nt_core = 13, int np_core = 37,
-      mhd::RhsBackend backend = core::SimulationConfig{}.rhs_backend);
+  /// Runs one RK4 step of a small serial Yin-Yang dynamo (the default
+  /// SimulationConfig backend) and reads the software flop counter.
+  /// Flops per point are resolution-independent up to ghost-fraction
+  /// effects, so a small grid suffices; the (nr, nt, np) arguments allow
+  /// convergence checks of that claim.
+  static KernelProfile measure(int nr = 17, int nt_core = 13,
+                               int np_core = 37);
 };
 
 }  // namespace yy::perf

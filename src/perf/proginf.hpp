@@ -46,8 +46,7 @@ struct PhaseDriftRow {
 
 /// Numeric form of the phase cross-check: measured phase shares of a
 /// real run against the es_model's predicted split at the same process
-/// count.  format_phase_report renders these rows; the perf-regression
-/// baselines (bench/baseline_runner) track them as drift metrics.
+/// count.  format_phase_report renders these rows.
 std::vector<PhaseDriftRow> phase_drift(const obs::MetricsSummary& m,
                                        const EsPerformanceModel& model,
                                        const RunConfig& rc);

@@ -17,7 +17,9 @@
 ///    for every update form (with and without an accumulator, in-place
 ///    accumulator, out == base, plain store), on the same grids and
 ///    shell tilings; out or acc aliasing the source is rejected.
-///  * Identical flop charge and analytic lane-statistics accounting.
+///  * Identical flop charge, and lane statistics counted by the sweep's
+///    own loops against packs and tails predicted from the box shapes
+///    (plus exact per-width pins on the kernel-profile grid).
 ///  * Manufactured-solution 2nd-order convergence through the sweep at
 ///    width 1 and at the compiled max width.
 ///  * 10-step RK4 trajectories (fused simd vs reference integrator) at
@@ -37,6 +39,7 @@
 #include "common/simd.hpp"
 #include "core/config.hpp"
 #include "grid/analytic_fields.hpp"
+#include "perf/kernel_profile.hpp"
 #include "support/equivalence.hpp"
 
 namespace yy::mhd {
@@ -512,6 +515,37 @@ TEST(SimdRhs, LaneStatsAccountForPacksAndTails) {
       EXPECT_GT(st.vector_coverage(), 0.0);
       EXPECT_LT(st.vector_coverage(), 1.0);
     }
+  }
+
+  // The kernel-profile grid (perf::KernelProfile::measure(17, 13, 37):
+  // one timed RK4 step, 2 panels × 4 stages), pinned per width.  At
+  // W = 8 the ratios are AVL 3.669190008 and coverage 0.8313831825 to
+  // ten digits.
+  struct Pin {
+    int w;
+    std::uint64_t iterations, vector_points, points;
+  };
+  constexpr Pin kProfilePins[] = {{1, 271432, 0, 271432},
+                                  {2, 142768, 257328, 271432},
+                                  {4, 85456, 247968, 271432},
+                                  {8, 73976, 225664, 271432}};
+  for (const Pin& pin : kProfilePins) {
+    SCOPED_TRACE(pin.w);
+    simd::force_active_width(pin.w);
+    const perf::KernelProfile p = perf::KernelProfile::measure(17, 13, 37);
+    simd::force_active_width(0);
+    // measure() resets the counts before its timed step only.
+    const simd::LaneStats st = simd::lane_stats_total();
+    EXPECT_EQ(st.iterations, pin.iterations);
+    EXPECT_EQ(st.vector_points, pin.vector_points);
+    EXPECT_EQ(st.points, pin.points);
+    EXPECT_EQ(p.simd_width, pin.w);
+    EXPECT_DOUBLE_EQ(p.simd_avg_vector_length,
+                     static_cast<double>(pin.points) /
+                         static_cast<double>(pin.iterations));
+    EXPECT_DOUBLE_EQ(p.simd_vector_coverage,
+                     static_cast<double>(pin.vector_points) /
+                         static_cast<double>(pin.points));
   }
   simd::lane_stats_reset();
 }

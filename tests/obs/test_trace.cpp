@@ -2,12 +2,14 @@
 /// (the golden trace of a real 2-rank distributed run must be valid
 /// JSON with monotonic, non-overlapping spans per thread), and the
 /// halo byte attribution cross-checked against the analytic message
-/// size formula of core/decomposition.
+/// size formula of core/decomposition, and the exact span count of
+/// every phase on every rank.
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <thread>
 #include <vector>
@@ -202,15 +204,31 @@ TEST(GoldenTrace, HaloSpanBytesMatchAnalyticMessageSizeFormula) {
         2 * nr_full * static_cast<std::uint64_t>(gh) * np_full * 8 *
         sizeof(double);
 
-    std::uint64_t n_halo = 0;
+    // Every span the rank records, by phase, against the run's
+    // schedule: initialize() fills ghosts once (halo, overset, wall
+    // boundary); stable_dt() is one reduction; each RK4 step runs four
+    // stages (rhs), each followed by a fill; gather_field() is one io
+    // span.  Nothing else opens a span: 16·steps + 6 per rank.
+    std::array<std::uint64_t, kNumPhases> want{};
+    const auto fills = static_cast<std::uint64_t>(1 + 4 * steps);
+    want[static_cast<int>(Phase::rhs)] = static_cast<std::uint64_t>(4 * steps);
+    want[static_cast<int>(Phase::halo_wait)] = fills;
+    want[static_cast<int>(Phase::overset_wait)] = fills;
+    want[static_cast<int>(Phase::boundary)] = fills;
+    want[static_cast<int>(Phase::reduce)] = 1;
+    want[static_cast<int>(Phase::io)] = 1;
+
+    std::array<std::uint64_t, kNumPhases> got{};
     for (const Span& s : t->spans()) {
-      if (s.phase != Phase::halo_wait) continue;
-      ++n_halo;
-      EXPECT_EQ(s.bytes, expected) << "rank " << t->rank();
+      ++got[static_cast<int>(s.phase)];
+      if (s.phase == Phase::halo_wait) {
+        EXPECT_EQ(s.bytes, expected) << "rank " << t->rank();
+      }
     }
-    // initialize() fills ghosts once; each RK4 step fills 4 times.
-    EXPECT_EQ(n_halo, static_cast<std::uint64_t>(1 + 4 * steps))
-        << "rank " << t->rank();
+    for (int ph = 0; ph < kNumPhases; ++ph)
+      EXPECT_EQ(got[ph], want[ph])
+          << "rank " << t->rank() << " phase "
+          << phase_name(static_cast<Phase>(ph));
   }
 }
 

@@ -7,10 +7,12 @@ namespace {
 
 TEST(KernelProfile, MeasuresPositiveFlopsPerPoint) {
   const KernelProfile p = KernelProfile::measure();
-  // One RK4 step = 4 RHS evaluations of a multi-operator MHD kernel:
-  // hundreds to thousands of flops per point.
-  EXPECT_GT(p.flops_per_point_per_step, 500.0);
-  EXPECT_LT(p.flops_per_point_per_step, 50000.0);
+  // One RK4 step = 4 RHS evaluations of a multi-operator MHD kernel.
+  // The charge is a property of the numerics, not of the machine: at
+  // the default (17, 13, 37) grid it is exactly this value (1995.385105
+  // to the digits the profile has always reported), and it moves only
+  // when a stencil or its flop table changes.
+  EXPECT_DOUBLE_EQ(p.flops_per_point_per_step, 1995.3851045615752);
   EXPECT_GT(p.local_gflops, 0.0);
   EXPECT_GT(p.seconds_per_point_per_step, 0.0);
 }
